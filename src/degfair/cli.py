@@ -24,9 +24,12 @@ import numpy as np
 from degfair.graphs import (
     GraphDataError,
     GraphFormatError,
+    build_graph,
     generalized_degree,
     load_graph,
     mean_degree,
+    read_edges,
+    read_labels,
     save_graph_files,
     split_nodes,
     synth_generate,
@@ -243,26 +246,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    g = load_graph(args.edges, args.features, args.labels) if args.features else None
-    if g is None:
+    if args.features:
+        g = load_graph(args.edges, args.features, args.labels)
+    else:
         # Metrics need labels and structure only; fabricate unit features.
-        from degfair.graphs import build_graph
-
-        labels = []
-        with open(args.labels, encoding="utf-8") as fh:
-            labels = [int(line) for line in fh if line.strip()]
-        edges = []
-        with open(args.edges, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line and not line.startswith("#"):
-                    u, v = line.split("\t")
-                    edges.append((int(u), int(v)))
-        g = build_graph(
-            np.array(edges, dtype=np.int64).reshape(-1, 2),
-            np.zeros((len(labels), 1)),
-            np.array(labels, dtype=np.int64),
-        )
+        labels = read_labels(args.labels)
+        g = build_graph(read_edges(args.edges), np.zeros((labels.size, 1)), labels)
     preds = []
     with open(args.preds, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -307,33 +296,13 @@ def cmd_synth(args) -> int:
 
 
 def cmd_degree_stats(args) -> int:
-    labels_path = args.labels
-    if labels_path is None:
+    if args.labels is None:
         # Degree stats need only the edge file; infer node count from it.
-        max_id = -1
-        with open(args.edges, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line and not line.startswith("#"):
-                    u, v = line.split("\t")
-                    max_id = max(max_id, int(u), int(v))
-        from degfair.graphs import build_graph
-
-        edges = []
-        with open(args.edges, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line and not line.startswith("#"):
-                    u, v = line.split("\t")
-                    edges.append((int(u), int(v)))
-        g = build_graph(
-            np.array(edges, dtype=np.int64).reshape(-1, 2),
-            np.zeros((max_id + 1, 1)),
-            np.zeros(max_id + 1, dtype=np.int64),
-            num_classes=1,
-        )
+        edges = read_edges(args.edges)
+        n = int(edges.max()) + 1 if edges.size else 0
+        g = build_graph(edges, np.zeros((n, 1)), np.zeros(n, dtype=np.int64), num_classes=1)
     else:
-        g = load_graph(args.edges, args.features, labels_path)
+        g = load_graph(args.edges, args.features, args.labels)
     deg = generalized_degree(g, args.r)
     qs = np.percentile(deg, [10, 25, 50, 75, 90])
     sys.stdout.write(

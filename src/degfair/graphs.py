@@ -11,6 +11,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 __all__ = [
     "Graph",
@@ -20,6 +21,8 @@ __all__ = [
     "GraphDataError",
     "build_graph",
     "load_graph",
+    "read_edges",
+    "read_labels",
     "save_graph_files",
     "generalized_degree",
     "local_context",
@@ -171,16 +174,15 @@ def _parse_int(token: str, path: str, lineno: int) -> int:
         ) from None
 
 
-def load_graph(edge_path: str, feature_path: str, label_path: str) -> Graph:
-    """Load a graph from an edge file, a feature CSV, and a label file.
+def read_edges(path: str) -> np.ndarray:
+    """Parse an edge file into an (m, 2) int64 array of node-id pairs.
 
-    Edge file: one edge per line, two node ids separated by a single tab;
-    lines starting with ``#`` are ignored. Feature file: CSV, row i holds the
-    fp64 features of node i. Label file: one integer per line, row i is the
-    class of node i.
+    One edge per line, two node ids separated by a single tab; blank lines
+    and lines starting with ``#`` are ignored. A malformed line raises
+    :class:`GraphFormatError` naming ``path:lineno``.
     """
     edges = []
-    with open(edge_path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line or line.startswith("#"):
@@ -188,30 +190,38 @@ def load_graph(edge_path: str, feature_path: str, label_path: str) -> Graph:
             parts = line.split("\t")
             if len(parts) != 2:
                 raise GraphFormatError(
-                    f"{edge_path}:{lineno}: expected two tab-separated ids, "
-                    f"got {line!r}"
+                    f"{path}:{lineno}: expected two tab-separated ids, got {line!r}"
                 )
-            u = _parse_int(parts[0], edge_path, lineno)
-            v = _parse_int(parts[1], edge_path, lineno)
+            u = _parse_int(parts[0], path, lineno)
+            v = _parse_int(parts[1], path, lineno)
             edges.append((u, v))
+    return np.array(edges, dtype=np.int64).reshape(-1, 2)
 
+
+def read_labels(path: str) -> np.ndarray:
+    """Parse a label file (one integer per line, blank lines skipped) as int64."""
+    labels = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if line:
+                labels.append(_parse_int(line, path, lineno))
+    return np.array(labels, dtype=np.int64)
+
+
+def load_graph(edge_path: str, feature_path: str, label_path: str) -> Graph:
+    """Load a graph from an edge file, a feature CSV, and a label file.
+
+    Edge file: see :func:`read_edges`. Feature file: CSV, row i holds the
+    fp64 features of node i. Label file: one integer per line, row i is the
+    class of node i.
+    """
+    edges = read_edges(edge_path)
     try:
         features = np.loadtxt(feature_path, delimiter=",", dtype=np.float64, ndmin=2)
     except ValueError as exc:
         raise GraphFormatError(f"{feature_path}: {exc}") from None
-
-    labels = []
-    with open(label_path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            labels.append(_parse_int(line, label_path, lineno))
-
-    edge_arr = (
-        np.array(edges, dtype=np.int64) if edges else np.empty((0, 2), dtype=np.int64)
-    )
-    return build_graph(edge_arr, features, np.array(labels, dtype=np.int64))
+    return build_graph(edges, features, read_labels(label_path))
 
 
 def save_graph_files(
@@ -285,25 +295,25 @@ def local_context(g: Graph, v: int, r: int) -> np.ndarray:
 def local_contexts(g: Graph, r: int) -> tuple[np.ndarray, np.ndarray]:
     """r-hop local context of every node, as CSR (offsets, members).
 
-    Members of node v are ``members[offsets[v]:offsets[v+1]]``, sorted, and
-    always include v. The r=1 case is read straight off the adjacency.
+    The contexts are the nonzero pattern of (A+I)^r: members of node v are
+    ``members[offsets[v]:offsets[v+1]]``, sorted, and always include v. The
+    pattern is built by r-1 boolean sparse products, so time and memory
+    scale with the number of nonzeros each product builds, about
+    sum_v |N_r(v)| for the last one.
     """
     if r < 1:
         raise ValueError(f"radius must be >= 1, got {r}")
-    if r == 1:
-        rows = [
-            np.union1d(g.neighbors(v), [v]).astype(np.int64)
-            for v in range(g.num_nodes)
-        ]
-    else:
-        rows = [local_context(g, v, r) for v in range(g.num_nodes)]
-    sizes = np.array([row.size for row in rows], dtype=np.int64)
-    offsets = np.zeros(g.num_nodes + 1, dtype=np.int64)
-    np.cumsum(sizes, out=offsets[1:])
-    members = (
-        np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
+    n = g.num_nodes
+    adj = sparse.csr_matrix(
+        (np.ones(g.csr_neighbors.size, dtype=bool), g.csr_neighbors, g.csr_offsets),
+        shape=(n, n),
     )
-    return offsets, members
+    step = adj + sparse.identity(n, dtype=bool, format="csr")
+    reach = step
+    for _ in range(r - 1):
+        reach = reach @ step  # boolean products OR-accumulate: no explicit zeros
+    reach.sort_indices()
+    return reach.indptr.astype(np.int64), reach.indices.astype(np.int64)
 
 
 def mean_degree(g: Graph) -> float:

@@ -27,6 +27,7 @@ from degfair.layers import (
     LayerParams,
     Linear,
     ModelParams,
+    _even,
     base_forward,
     build_operators,
     infer_base_probs,
@@ -177,10 +178,6 @@ def _zero_linear(fan_in: int, fan_out: int) -> Linear:
         w=Tensor(np.zeros((fan_in, fan_out)), requires_grad=True),
         b=_zero_bias(fan_out),
     )
-
-
-def _even(width: int) -> int:
-    return width if width % 2 == 0 else width + 1
 
 
 def init_params(
@@ -483,7 +480,13 @@ def load_model(path: str) -> tuple[ModelParams, TrainConfig]:
         header = lines[i].split()
         if len(header) != 4 or header[0] != "tensor":
             raise ModelFileError(f"{path}: bad tensor header at line {i + 1}")
-        name, rows, cols = header[1], int(header[2]), int(header[3])
+        name = header[1]
+        try:
+            rows, cols = int(header[2]), int(header[3])
+        except ValueError:
+            raise ModelFileError(
+                f"{path}: tensor {name} has a non-integer shape at line {i + 1}"
+            ) from None
         block = lines[i + 1 : i + 1 + rows]
         if len(block) < rows:
             raise ModelFileError(f"{path}: truncated tensor {name}")

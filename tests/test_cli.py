@@ -117,6 +117,16 @@ def test_degree_stats_triangle_r2(tmp_path, capsys):
     assert float(fields["mean"]) == 4.0
 
 
+def test_degree_stats_malformed_edge_line_exits_3(tmp_path, capsys):
+    edges = tmp_path / "bad.tsv"
+    edges.write_text("# comment\n0\t1\n1 2\n")
+    code = main(["degree-stats", "--edges", str(edges)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and f"{edges}:3:" in err
+    assert "Traceback" not in err
+
+
 # -------------------------------------------------------------------- audit
 
 
@@ -170,6 +180,27 @@ def test_audit_malformed_prediction_exits_3(tmp_path, capsys):
     code = main(["audit", "--preds", str(preds), "--edges", str(edges),
                  "--labels", str(labels)])
     assert code == 3
+
+
+def test_audit_malformed_edge_line_exits_3(tmp_path, capsys):
+    edges, labels, preds = audit_fixture(tmp_path, [0, 1, 0, 1, 0, 1, 0, 1])
+    edges.write_text("0\t1\n1 2\n")
+    code = main(["audit", "--preds", str(preds), "--edges", str(edges),
+                 "--labels", str(labels)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and f"{edges}:2:" in err
+    assert "Traceback" not in err
+
+
+def test_audit_malformed_label_exits_3(tmp_path, capsys):
+    edges, labels, preds = audit_fixture(tmp_path, [0, 1, 0, 1, 0, 1, 0, 1])
+    labels.write_text("0\nbanana\n")
+    code = main(["audit", "--preds", str(preds), "--edges", str(edges),
+                 "--labels", str(labels)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and f"{labels}:2:" in err
 
 
 def test_audit_length_mismatch_exits_3(tmp_path):
@@ -235,6 +266,27 @@ def test_eval_feature_dim_mismatch_exits_3(tmp_path, capsys):
                  "--features", str(other / "features.csv"),
                  "--labels", str(other / "labels.txt")])
     assert code == 3
+
+
+def test_eval_non_integer_tensor_shape_exits_3(tmp_path, capsys):
+    data = write_dataset(tmp_path)
+    cfg = write_config(tmp_path, data)
+    assert main(["train", "--config", str(cfg)]) == 0
+    model = tmp_path / "out" / "model_seed7.txt"
+    lines = model.read_text().splitlines()
+    i = next(k for k, line in enumerate(lines) if line.startswith("tensor "))
+    name = lines[i].split()[1]
+    lines[i] = f"tensor {name} four 4"
+    model.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = main(["eval", "--model", str(model),
+                 "--edges", str(data / "edges.tsv"),
+                 "--features", str(data / "features.csv"),
+                 "--labels", str(data / "labels.txt")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and name in err
+    assert "Traceback" not in err
 
 
 def test_train_preset_flag_overrides(tmp_path, capsys):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from degfair.graphs import (
     GraphDataError,
@@ -201,6 +203,32 @@ def test_local_contexts_matches_single():
         for v in range(g.num_nodes):
             row = members[offsets[v] : offsets[v + 1]]
             assert row.tolist() == local_context(g, v, r).tolist()
+
+
+@st.composite
+def edge_lists(draw):
+    n = draw(st.integers(min_value=1, max_value=25))
+    node = st.integers(min_value=0, max_value=n - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=40))
+    return n, edges
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph=edge_lists(), r=st.sampled_from([1, 2, 3]))
+@example(graph=(4, []), r=2)
+@example(graph=(6, [(0, 1), (1, 2), (2, 3)]), r=3)
+def test_local_contexts_property_matches_bfs_oracle(graph, r):
+    n, edges = graph
+    g = make_graph(edges, n)
+    offsets, members = local_contexts(g, r)
+    assert offsets.dtype == np.int64 and members.dtype == np.int64
+    assert offsets.shape == (n + 1,) and offsets[0] == 0
+    assert np.all(np.diff(offsets) >= 0) and offsets[-1] == members.size
+    for v in range(n):
+        row = members[offsets[v] : offsets[v + 1]]
+        assert np.all(np.diff(row) > 0)
+        assert v in row
+        assert row.tolist() == local_context(g, v, r).tolist()
 
 
 # --------------------------------------------------------------- partitions
