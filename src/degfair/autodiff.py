@@ -3,11 +3,13 @@
 Everything is 2-D (scalars are 1x1, biases are 1xd rows). Ops executed
 while a :class:`Tape` is active are recorded in execution order; the
 backward pass replays the record in exact reverse, accumulating adjoints
-into ``.grad`` buffers. Outside a tape, ops are plain forward evaluation.
+into ``.grad`` buffers. Outside a tape, or inside :func:`no_grad`, ops are
+plain forward evaluation.
 """
 
 from __future__ import annotations
 
+import contextlib
 import threading
 
 import numpy as np
@@ -17,6 +19,7 @@ __all__ = [
     "Tensor",
     "Tape",
     "TapeError",
+    "no_grad",
     "FixedSparse",
     "as_tensor",
     "matmul",
@@ -179,9 +182,24 @@ class Tape:
                     owned.add(id(parent.grad))
 
 
+@contextlib.contextmanager
+def no_grad():
+    """Evaluate ops without recording them, even while a Tape is active.
+
+    A ``None`` on the tape stack marks the region; a Tape entered inside it
+    records as usual.
+    """
+    stack = _stack()
+    stack.append(None)
+    try:
+        yield
+    finally:
+        stack.pop()
+
+
 def _record(out: Tensor, pairs) -> Tensor:
     stack = _stack()
-    if not stack:
+    if not stack or stack[-1] is None:
         return out
     tracked = [(p, vjp) for p, vjp in pairs if p.requires_grad]
     if tracked:

@@ -296,6 +296,11 @@ def cmd_synth(args) -> int:
 
 
 def cmd_degree_stats(args) -> int:
+    if (args.labels is None) != (args.features is None):
+        given, missing = (
+            ("--features", "--labels") if args.labels is None else ("--labels", "--features")
+        )
+        raise ConfigError(f"degree-stats: {given} needs {missing} as well")
     if args.labels is None:
         # Degree stats need only the edge file; infer node count from it.
         edges = read_edges(args.edges)

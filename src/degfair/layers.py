@@ -59,7 +59,6 @@ __all__ = [
     "model_forward",
     "base_forward",
     "infer_probs",
-    "infer_base_probs",
 ]
 
 
@@ -100,26 +99,33 @@ class LayerParams:
     film_scale: Linear
     film_shift: Linear
 
-    def omega_tensors(self) -> list[Tensor]:
-        out = []
+    def named_tensors(self):
+        """Yield ``(name, tensor)`` for every tensor, in model-file order.
+
+        GAT heads come head by head with the output bias last; the other
+        aggregators list their omega keys sorted (so ``omega.b`` first).
+        The four debiasing nets follow, weight before bias.
+        """
         if "heads" in self.omega:
-            for head in self.omega["heads"]:
-                out.extend([head.w, head.att_self, head.att_nbr])
+            for j, head in enumerate(self.omega["heads"]):
+                yield f"omega.head{j}.w", head.w
+                yield f"omega.head{j}.att_self", head.att_self
+                yield f"omega.head{j}.att_nbr", head.att_nbr
+            yield "omega.b", self.omega["b"]
         else:
-            out.extend(self.omega[k] for k in sorted(self.omega) if k != "b")
-        if "b" in self.omega:
-            out.append(self.omega["b"])
-        return out
+            for k in sorted(self.omega):
+                yield f"omega.{k}", self.omega[k]
+        for net in ("debias_low", "debias_high", "film_scale", "film_shift"):
+            lin = getattr(self, net)
+            yield f"{net}.w", lin.w
+            yield f"{net}.b", lin.b
 
     def omega_weights(self) -> list[Tensor]:
         """Aggregator weight matrices, excluding the output bias."""
-        return [t for t in self.omega_tensors() if t is not self.omega.get("b")]
-
-    def debias_tensors(self) -> list[Tensor]:
-        out = []
-        for lin in (self.debias_low, self.debias_high, self.film_scale, self.film_shift):
-            out.extend([lin.w, lin.b])
-        return out
+        return [
+            t for name, t in self.named_tensors()
+            if name.startswith("omega.") and name != "omega.b"
+        ]
 
 
 @dataclass
@@ -129,28 +135,28 @@ class ModelParams:
     kind: str  # gcn | sage | gat
     layers: list[LayerParams]
 
+    def named_tensors(self):
+        """Yield ``("layer<i>.<name>", tensor)`` for every tensor, layer by layer.
+
+        This is the one walk over the parameters: the model file, the
+        optimizer's parameter list and the regularizer all follow it.
+        """
+        for i, layer in enumerate(self.layers):
+            for name, t in layer.named_tensors():
+                yield f"layer{i}.{name}", t
+
     def all_tensors(self, include_debias: bool = True) -> list[Tensor]:
-        out: list[Tensor] = []
-        for layer in self.layers:
-            out.extend(layer.omega_tensors())
-            if include_debias:
-                out.extend(layer.debias_tensors())
-        return out
+        """Every tensor in registry order; aggregator tensors only without debias."""
+        return [
+            t for name, t in self.named_tensors() if include_debias or ".omega." in name
+        ]
 
     def weight_tensors(self, include_debias: bool = True) -> list[Tensor]:
         """Weight matrices only (biases excluded), for regularization."""
-        out: list[Tensor] = []
-        for layer in self.layers:
-            out.extend(layer.omega_weights())
-            if include_debias:
-                for lin in (
-                    layer.debias_low,
-                    layer.debias_high,
-                    layer.film_scale,
-                    layer.film_shift,
-                ):
-                    out.append(lin.w)
-        return out
+        return [
+            t for name, t in self.named_tensors()
+            if not name.endswith(".b") and (include_debias or ".omega." in name)
+        ]
 
 
 @dataclass
@@ -490,37 +496,6 @@ def model_forward(
     return ForwardTrace(layers=entries, probs=entries[-1].h)
 
 
-def _infer_base_pre(h: np.ndarray, ops: GraphOperators, omega: dict, kind: str) -> np.ndarray:
-    """Plain-numpy mirror of base_aggregate for inference."""
-    if kind == "gcn":
-        out = ops.gcn_norm.fwd @ (h @ omega["w"].data)
-    elif kind == "sage":
-        out = h @ omega["w_self"].data + (ops.nbr_mean.fwd @ h) @ omega["w_neigh"].data
-    else:
-        heads = omega["heads"]
-        offsets, members = ops.att_offsets, ops.att_members
-        centers = np.repeat(np.arange(offsets.shape[0] - 1), np.diff(offsets))
-        acc = None
-        for head in heads:
-            z = h @ head.w.data
-            logits = (z @ head.att_self.data)[centers, 0] + (z @ head.att_nbr.data)[
-                members, 0
-            ]
-            logits = np.where(logits > 0, logits, 0.2 * logits)
-            seg_id = centers
-            m = np.full(offsets.shape[0] - 1, -np.inf)
-            np.maximum.at(m, seg_id, logits)
-            e = np.exp(logits - m[seg_id])
-            denom = np.bincount(seg_id, weights=e, minlength=m.shape[0])
-            alpha = e / denom[seg_id]
-            weighted = z[members] * alpha[:, None]
-            csum = np.vstack([np.zeros((1, z.shape[1])), np.cumsum(weighted, axis=0)])
-            part = csum[offsets[1:]] - csum[offsets[:-1]]
-            acc = part if acc is None else acc + part
-        out = acc / len(heads) if len(heads) > 1 else acc
-    return out + omega["b"].data
-
-
 def infer_probs(
     g: Graph,
     params: ModelParams,
@@ -534,15 +509,15 @@ def infer_probs(
     (the unused branch matters solely for training constraints), so this
     is the cheap path for prediction and per-epoch accuracy tracking.
     """
-    h = features.data if features is not None else g.features
+    h = features if features is not None else Tensor(g.features)
     low = ops.low_mask != 0
     high = ~low
     last = len(params.layers) - 1
     for i, layer in enumerate(params.layers):
-        pre = _infer_base_pre(h, ops, layer.omega, params.kind)
+        pre = base_aggregate(h, ops, layer.omega, params.kind)
         if eps != 0.0:
             width = layer.film_scale.b.shape[1]
-            ctx = ops.ctx_mean.fwd @ h
+            ctx = ops.ctx_mean.fwd @ h.data
             enc = ops.encoding(_even(width)).data
             scale = (enc @ layer.film_scale.w.data + layer.film_scale.b.data)[
                 ops.degree_inverse
@@ -553,34 +528,9 @@ def infer_probs(
             f = np.empty((g.num_nodes, width))
             f[low] = ctx[low] @ layer.debias_low.w.data + layer.debias_low.b.data
             f[high] = ctx[high] @ layer.debias_high.w.data + layer.debias_high.b.data
-            pre = pre + eps * ((scale + 1.0) * f + shift)
-        if i == last:
-            z = pre - pre.max(axis=1, keepdims=True)
-            e = np.exp(z)
-            h = e / e.sum(axis=1, keepdims=True)
-        else:
-            h = np.where(pre > 0, pre, 0.0)
-    return h
-
-
-def infer_base_probs(
-    g: Graph,
-    params: ModelParams,
-    ops: GraphOperators,
-    features: Tensor | None = None,
-) -> np.ndarray:
-    """Dropout-free inference for the plain base model."""
-    h = features.data if features is not None else g.features
-    last = len(params.layers) - 1
-    for i, layer in enumerate(params.layers):
-        pre = _infer_base_pre(h, ops, layer.omega, params.kind)
-        if i == last:
-            z = pre - pre.max(axis=1, keepdims=True)
-            e = np.exp(z)
-            h = e / e.sum(axis=1, keepdims=True)
-        else:
-            h = np.where(pre > 0, pre, 0.0)
-    return h
+            pre = Tensor(pre.data + eps * ((scale + 1.0) * f + shift))
+        h = _activate(pre, "softmax" if i == last else "relu")
+    return h.data
 
 
 def base_forward(

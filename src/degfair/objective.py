@@ -7,6 +7,10 @@ Four terms plus weight regularization, combined as
 
 All sums run over training nodes (not means); the parity and cross-context
 terms restrict the low/high degree groups to their training intersections.
+
+Each term has exactly one implementation, the taped one here. A caller that
+only needs a term's value (for example, to report a term whose coefficient
+is zero) evaluates it under :func:`degfair.autodiff.no_grad`.
 """
 
 from __future__ import annotations
@@ -134,47 +138,6 @@ def weight_regularizer(params: ModelParams, include_debias: bool = True) -> Tens
     for w in params.weight_tensors(include_debias=include_debias):
         total = add(total, sq_norm(w))
     return total
-
-
-# Untaped (plain numpy) term values, for reporting terms whose coefficient
-# is zero without paying for their backward pass.
-
-
-def group_gap_value(probs: np.ndarray, low_tr: np.ndarray, high_tr: np.ndarray) -> float:
-    if len(low_tr) == 0 or len(high_tr) == 0:
-        return 0.0
-    gap = probs[low_tr].mean(axis=0) - probs[high_tr].mean(axis=0)
-    return float(gap @ gap)
-
-
-def cross_context_value(trace: ForwardTrace, low_tr: np.ndarray, high_tr: np.ndarray) -> float:
-    total = 0.0
-    for entry in trace.layers:
-        if len(low_tr):
-            rows = entry.debias_high.data[low_tr]
-            total += float(np.einsum("ij,ij->", rows, rows))
-        if len(high_tr):
-            rows = entry.debias_low.data[high_tr]
-            total += float(np.einsum("ij,ij->", rows, rows))
-    return total
-
-
-def modulation_value(trace: ForwardTrace, train_idx: np.ndarray) -> float:
-    total = 0.0
-    for entry in trace.layers:
-        for t in (entry.scale, entry.shift):
-            rows = t.data[train_idx]
-            total += float(np.einsum("ij,ij->", rows, rows))
-    return total
-
-
-def weight_norm_value(params: ModelParams, include_debias: bool = True) -> float:
-    return float(
-        sum(
-            np.einsum("ij,ij->", w.data, w.data)
-            for w in params.weight_tensors(include_debias=include_debias)
-        )
-    )
 
 
 def total_loss(

@@ -11,6 +11,7 @@ the full objective.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import time
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from degfair.autodiff import Tape, Tensor, add, scalar_mul
+from degfair.autodiff import Tape, Tensor, no_grad
 from degfair.graphs import Graph, NodeSplit, mean_degree, partition_contrast
 from degfair.layers import (
     GatHead,
@@ -30,7 +31,6 @@ from degfair.layers import (
     _even,
     base_forward,
     build_operators,
-    infer_base_probs,
     infer_probs,
     input_features,
     model_forward,
@@ -39,14 +39,10 @@ from degfair.metrics import accuracy
 from degfair.objective import (
     LossBreakdown,
     classification_loss,
-    cross_context_value,
     debias_constraint,
     fairness_loss,
     film_constraint,
-    group_gap_value,
-    modulation_value,
     total_loss,
-    weight_norm_value,
     weight_regularizer,
 )
 from degfair.optim import Adam
@@ -232,37 +228,6 @@ def init_params(
     return ModelParams(kind=config.base_gnn, layers=layers)
 
 
-def _clone_params(params: ModelParams) -> ModelParams:
-    def clone_t(t: Tensor) -> Tensor:
-        return Tensor(t.data.copy(), requires_grad=t.requires_grad)
-
-    def clone_lin(lin: Linear) -> Linear:
-        return Linear(w=clone_t(lin.w), b=clone_t(lin.b))
-
-    layers = []
-    for layer in params.layers:
-        if "heads" in layer.omega:
-            omega = {
-                "heads": [
-                    GatHead(clone_t(h.w), clone_t(h.att_self), clone_t(h.att_nbr))
-                    for h in layer.omega["heads"]
-                ],
-                "b": clone_t(layer.omega["b"]),
-            }
-        else:
-            omega = {k: clone_t(v) for k, v in layer.omega.items()}
-        layers.append(
-            LayerParams(
-                omega=omega,
-                debias_low=clone_lin(layer.debias_low),
-                debias_high=clone_lin(layer.debias_high),
-                film_scale=clone_lin(layer.film_scale),
-                film_shift=clone_lin(layer.film_shift),
-            )
-        )
-    return ModelParams(kind=params.kind, layers=layers)
-
-
 def _setup(g: Graph, config: TrainConfig):
     groups = partition_contrast(g.degrees.astype(np.float64), config.resolve_threshold(g))
     ops = build_operators(g, config.r_context, groups, config.base_gnn)
@@ -278,7 +243,7 @@ def _eval_probs(
     feats,
 ) -> np.ndarray:
     if config.model == "base":
-        return infer_base_probs(g, params, ops, features=feats)
+        return base_forward(g, params, ops, features=feats).data
     return infer_probs(g, params, ops, eps=config.eps, features=feats)
 
 
@@ -304,82 +269,63 @@ def train(
 
     rng = np.random.default_rng(config.seed)
     params = init_params(config, g.feature_dim, g.num_classes, rng)
-    trainable = params.all_tensors(include_debias=config.model == "degfair")
+    fair = config.model == "degfair"
+    trainable = params.all_tensors(include_debias=fair)
     opt = Adam(trainable, lr=config.lr)
+    forward_args = dict(
+        dropout_rate=config.dropout,
+        train_mode=True,
+        rng=rng,
+        dropout_input=config.dropout_input,
+        features=feats,
+    )
+    zero = Tensor([[0.0]])
 
     history = TrainHistory()
-    best_val = -1.0
-    best_params = _clone_params(params)
+    best_val = -1.0  # epoch 0 always beats this, so best_data gets filled
+    best_data: list[np.ndarray] = []
     since_best = 0
 
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
         opt.zero_grad()
         with Tape() as tape:
-            if config.model == "degfair":
-                trace = model_forward(
-                    g,
-                    params,
-                    ops,
-                    eps=config.eps,
-                    dropout_rate=config.dropout,
-                    train_mode=True,
-                    rng=rng,
-                    dropout_input=config.dropout_input,
-                    features=feats,
-                )
-                l1 = classification_loss(trace.probs, g.labels, split.train)
-                # Terms with a zero coefficient are reported but not taped,
-                # so they cost no backward time.
-                if config.mu != 0.0:
-                    l2 = fairness_loss(trace.probs, low_tr, high_tr)
-                else:
-                    l2 = Tensor([[group_gap_value(trace.probs.data, low_tr, high_tr)]])
-                if config.lam != 0.0:
-                    l3 = debias_constraint(trace, low_tr, high_tr)
-                    l4 = film_constraint(trace, split.train)
-                    omega = weight_regularizer(params)
-                else:
-                    l3 = Tensor([[cross_context_value(trace, low_tr, high_tr)]])
-                    l4 = Tensor([[modulation_value(trace, split.train)]])
-                    omega = Tensor([[weight_norm_value(params)]])
-                total, breakdown = total_loss(
-                    l1, l2, l3, l4, omega, config.mu, config.lam
-                )
+            if fair:
+                trace = model_forward(g, params, ops, eps=config.eps, **forward_args)
+                probs = trace.probs
             else:
-                probs = base_forward(
-                    g,
-                    params,
-                    ops,
-                    dropout_rate=config.dropout,
-                    train_mode=True,
-                    rng=rng,
-                    dropout_input=config.dropout_input,
-                    features=feats,
-                )
-                l1 = classification_loss(probs, g.labels, split.train)
-                if config.lam != 0.0:
-                    omega = weight_regularizer(params, include_debias=False)
-                    total = add(l1, scalar_mul(omega, config.lam))
-                else:
-                    omega = Tensor([[weight_norm_value(params, include_debias=False)]])
-                    total = l1
-                breakdown = LossBreakdown(
-                    l1=l1.item(),
-                    l2=0.0,
-                    l3=0.0,
-                    l4=0.0,
-                    omega_reg=omega.item(),
-                    mu=config.mu,
-                    lam=config.lam,
-                    total=total.item(),
-                )
+                probs = base_forward(g, params, ops, **forward_args)
+            l1 = classification_loss(probs, g.labels, split.train)
+            # A term whose coefficient is 0 is still reported, but evaluated
+            # off the tape, so it costs no backward time. The base model has
+            # no parity or debiasing terms; they enter as constant zeros.
+            with no_grad() if config.mu == 0.0 else contextlib.nullcontext():
+                l2 = fairness_loss(probs, low_tr, high_tr) if fair else zero
+            with no_grad() if config.lam == 0.0 else contextlib.nullcontext():
+                l3 = debias_constraint(trace, low_tr, high_tr) if fair else zero
+                l4 = film_constraint(trace, split.train) if fair else zero
+                omega_reg = weight_regularizer(params, include_debias=fair)
+            total, breakdown = total_loss(
+                l1, l2, l3, l4, omega_reg, config.mu, config.lam
+            )
         if not np.isfinite(breakdown.total):
+            terms = ("l1", "l2", "l3", "l4", "omega_reg")
+            bad = [n for n in terms if not np.isfinite(getattr(breakdown, n))]
+            cause = (
+                f"first non-finite term {bad[0]}={getattr(breakdown, bad[0])}"
+                if bad
+                else "every term is finite, their weighted sum is not"
+            )
             raise TrainingDivergedError(
-                f"non-finite loss {breakdown.total} at epoch {epoch}"
+                f"non-finite loss {breakdown.total} at epoch {epoch}: {cause}"
             )
         tape.backward(total)
         opt.step()
+        for name, t in params.named_tensors():
+            if not np.isfinite(t.data).all():
+                raise TrainingDivergedError(
+                    f"parameter {name} is non-finite after the step at epoch {epoch}"
+                )
 
         probs_eval = _eval_probs(g, params, config, ops, feats)
         preds = np.argmax(probs_eval, axis=1)
@@ -393,14 +339,16 @@ def train(
         if va_acc > best_val:
             best_val = va_acc
             history.best_epoch = epoch
-            best_params = _clone_params(params)
+            best_data = [t.data.copy() for t in trainable]
             since_best = 0
         else:
             since_best += 1
             if since_best >= config.patience:
                 break
 
-    return best_params, history
+    for t, data in zip(trainable, best_data):
+        t.data = data
+    return params, history
 
 
 def predict(params: ModelParams, g: Graph, config: TrainConfig) -> np.ndarray:
@@ -415,30 +363,6 @@ def predict(params: ModelParams, g: Graph, config: TrainConfig) -> np.ndarray:
 _MAGIC = "degfair-model v1"
 
 
-def _named_tensors(params: ModelParams) -> list[tuple[str, Tensor]]:
-    out = []
-    for i, layer in enumerate(params.layers):
-        p = f"layer{i}"
-        if "heads" in layer.omega:
-            for j, head in enumerate(layer.omega["heads"]):
-                out.append((f"{p}.omega.head{j}.w", head.w))
-                out.append((f"{p}.omega.head{j}.att_self", head.att_self))
-                out.append((f"{p}.omega.head{j}.att_nbr", head.att_nbr))
-            out.append((f"{p}.omega.b", layer.omega["b"]))
-        else:
-            for k in sorted(layer.omega):
-                out.append((f"{p}.omega.{k}", layer.omega[k]))
-        for name, lin in (
-            ("debias_low", layer.debias_low),
-            ("debias_high", layer.debias_high),
-            ("film_scale", layer.film_scale),
-            ("film_shift", layer.film_shift),
-        ):
-            out.append((f"{p}.{name}.w", lin.w))
-            out.append((f"{p}.{name}.b", lin.b))
-    return out
-
-
 def save_model(params: ModelParams, config: TrainConfig, path: str) -> None:
     """Self-describing text serialization; round-trips bit-exactly.
 
@@ -448,7 +372,7 @@ def save_model(params: ModelParams, config: TrainConfig, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_MAGIC + "\n")
         fh.write("config " + json.dumps(dataclasses.asdict(config), sort_keys=True) + "\n")
-        for name, t in _named_tensors(params):
+        for name, t in params.named_tensors():
             rows, cols = t.shape
             fh.write(f"tensor {name} {rows} {cols}\n")
             for row in t.data:
@@ -474,7 +398,7 @@ def load_model(path: str) -> tuple[ModelParams, TrainConfig]:
     except (json.JSONDecodeError, TypeError, ValueError) as exc:
         raise ModelFileError(f"{path}: bad config record: {exc}") from None
 
-    tensors: dict[str, Tensor] = {}
+    tensors: dict[str, np.ndarray] = {}
     i = 2
     while i < len(lines) - 1:
         header = lines[i].split()
@@ -498,44 +422,39 @@ def load_model(path: str) -> tuple[ModelParams, TrainConfig]:
             raise ModelFileError(
                 f"{path}: tensor {name} has shape {data.shape}, header says {(rows, cols)}"
             )
-        tensors[name] = Tensor(data, requires_grad=True)
+        tensors[name] = data
         i += 1 + rows
 
-    def take(name: str) -> Tensor:
+    def shape_of(name: str) -> tuple[int, int]:
         if name not in tensors:
             raise ModelFileError(f"{path}: missing tensor {name}")
-        return tensors.pop(name)
+        return tensors[name].shape
 
-    layers = []
-    for l in range(config.num_layers):
-        p = f"layer{l}"
-        if config.base_gnn == "gat":
-            heads = [
-                GatHead(
-                    w=take(f"{p}.omega.head{j}.w"),
-                    att_self=take(f"{p}.omega.head{j}.att_self"),
-                    att_nbr=take(f"{p}.omega.head{j}.att_nbr"),
-                )
-                for j in range(config.gat_heads)
-            ]
-            omega = {"heads": heads, "b": take(f"{p}.omega.b")}
-        elif config.base_gnn == "sage":
-            omega = {
-                "w_neigh": take(f"{p}.omega.w_neigh"),
-                "w_self": take(f"{p}.omega.w_self"),
-                "b": take(f"{p}.omega.b"),
-            }
-        else:
-            omega = {"w": take(f"{p}.omega.w"), "b": take(f"{p}.omega.b")}
-        layers.append(
-            LayerParams(
-                omega=omega,
-                debias_low=Linear(take(f"{p}.debias_low.w"), take(f"{p}.debias_low.b")),
-                debias_high=Linear(take(f"{p}.debias_high.w"), take(f"{p}.debias_high.b")),
-                film_scale=Linear(take(f"{p}.film_scale.w"), take(f"{p}.film_scale.b")),
-                film_shift=Linear(take(f"{p}.film_shift.w"), take(f"{p}.film_shift.b")),
-            )
+    # The config fixes the structure; the input and output widths come from
+    # the first and last layer's debiasing weights. The config fields that
+    # size the structure are checked against the file before it is built,
+    # so a corrupt config cannot make the build allocate more than the file
+    # holds. The initial values are all overwritten by name.
+    in_dim, width = shape_of("layer0.debias_low.w")
+    num_classes = shape_of(f"layer{config.num_layers - 1}.debias_low.w")[1]
+    if config.num_layers > 1 and width != config.hidden_dim:
+        raise ModelFileError(
+            f"{path}: tensor layer0.debias_low.w has shape {(in_dim, width)}, "
+            f"the config needs {(in_dim, config.hidden_dim)}"
         )
+    if config.base_gnn == "gat":
+        shape_of(f"layer0.omega.head{config.gat_heads - 1}.w")
+    params = init_params(config, in_dim, num_classes, np.random.default_rng(0))
+    for name, t in params.named_tensors():
+        data = tensors.pop(name, None)
+        if data is None:
+            raise ModelFileError(f"{path}: missing tensor {name}")
+        if data.shape != t.shape:
+            raise ModelFileError(
+                f"{path}: tensor {name} has shape {data.shape}, "
+                f"the config needs {t.shape}"
+            )
+        t.data = data
     if tensors:
         raise ModelFileError(f"{path}: unexpected extra tensors {sorted(tensors)}")
-    return ModelParams(kind=config.base_gnn, layers=layers), config
+    return params, config

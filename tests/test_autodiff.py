@@ -132,6 +132,40 @@ def test_no_tape_means_no_tracking():
     assert w.grad is None
 
 
+def test_no_grad_records_nothing_inside_a_tape():
+    w = Tensor(np.ones((2, 2)), requires_grad=True)
+    with Tape() as tape:
+        ad.sum_all(w)
+        recorded = len(tape)
+        with ad.no_grad():
+            out = ad.sum_all(ad.sq_norm(w))
+            with ad.no_grad():
+                ad.sum_all(w)
+            ad.sum_all(w)
+            assert len(tape) == recorded
+            assert not out.requires_grad
+        loss = ad.sum_all(w)
+        assert len(tape) == recorded + 1
+    tape.backward(loss)
+    assert np.array_equal(w.grad, np.ones((2, 2)))
+
+
+def test_no_grad_restores_the_stack_and_allows_an_inner_tape():
+    w = Tensor(np.ones((2, 2)), requires_grad=True)
+    with Tape() as outer:
+        with ad.no_grad():
+            with Tape() as inner:
+                ad.sum_all(w)
+            assert len(inner) == 1
+            with pytest.raises(KeyError):
+                with ad.no_grad():
+                    raise KeyError("leaves the region")
+            ad.sum_all(w)
+        ad.sum_all(w)
+    assert len(outer) == 1
+    assert not ad.sum_all(w).requires_grad  # no tape left active
+
+
 # ------------------------------------------------------- per-op adjoint sweep
 
 

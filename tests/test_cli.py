@@ -127,6 +127,20 @@ def test_degree_stats_malformed_edge_line_exits_3(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("given,missing", [("--labels", "--features"),
+                                           ("--features", "--labels")])
+def test_degree_stats_needs_labels_and_features_together(tmp_path, capsys,
+                                                          given, missing):
+    out = write_dataset(tmp_path, n=20)
+    files = {"--labels": out / "labels.txt", "--features": out / "features.csv"}
+    code = main(["degree-stats", "--edges", str(out / "edges.tsv"),
+                 given, str(files[given])])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and missing in err
+    assert "Traceback" not in err
+
+
 # -------------------------------------------------------------------- audit
 
 
@@ -286,6 +300,28 @@ def test_eval_non_integer_tensor_shape_exits_3(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and name in err
+    assert "Traceback" not in err
+
+
+def test_eval_tensor_shape_not_matching_config_exits_3(tmp_path, capsys):
+    data = write_dataset(tmp_path)
+    cfg = write_config(tmp_path, data)
+    assert main(["train", "--config", str(cfg)]) == 0
+    model = tmp_path / "out" / "model_seed7.txt"
+    lines = model.read_text().splitlines()
+    i = lines.index("tensor layer1.omega.w 4 2")
+    lines[i] = "tensor layer1.omega.w 3 2"  # one row short of hidden_dim
+    del lines[i + 4]
+    model.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = main(["eval", "--model", str(model),
+                 "--edges", str(data / "edges.tsv"),
+                 "--features", str(data / "features.csv"),
+                 "--labels", str(data / "labels.txt")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ")
+    assert "layer1.omega.w" in err and "(3, 2)" in err and "(4, 2)" in err
     assert "Traceback" not in err
 
 

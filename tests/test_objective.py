@@ -223,6 +223,37 @@ def test_breakdown_nonnegative_terms():
     assert film_constraint(tr, np.arange(4)).item() >= 0.0
 
 
+def test_each_term_same_value_under_no_grad():
+    rng = np.random.default_rng(4)
+    probs = Tensor(ad.softmax_rows(Tensor(rng.standard_normal((6, 3)))).data,
+                   requires_grad=True)
+    tr = make_trace([
+        LayerTraceEntry(h=probs, **{
+            k: Tensor(rng.standard_normal((6, 3)), requires_grad=True)
+            for k in ("debias_low", "debias_high", "scale", "shift")
+        })
+    ])
+    params = init_params(TrainConfig(base_gnn="gat", hidden_dim=4, gat_heads=2),
+                         3, 2, np.random.default_rng(0))
+    low, high = np.array([0, 2, 4]), np.array([1, 3, 5])
+    terms = {
+        "l1": lambda: classification_loss(probs, np.array([0, 1, 2, 0, 1, 2]),
+                                          np.arange(6)),
+        "l2": lambda: fairness_loss(probs, low, high),
+        "l3": lambda: debias_constraint(tr, low, high),
+        "l4": lambda: film_constraint(tr, np.arange(5)),
+        "omega_reg": lambda: weight_regularizer(params),
+    }
+    for name, term in terms.items():
+        with Tape() as tape:
+            taped = term()
+            with ad.no_grad():
+                untaped = term()
+        assert taped.requires_grad and len(tape) > 0, name
+        assert not untaped.requires_grad, name
+        assert untaped.item() == taped.item(), name
+
+
 # ------------------------------------------------------------ gradient checks
 
 

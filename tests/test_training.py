@@ -117,6 +117,16 @@ def test_training_deterministic():
         assert np.array_equal(ta.data, tb.data)
 
 
+def test_zero_coefficient_terms_are_reported_but_not_weighted():
+    g, split = small_setup(seed=2)
+    cfg = quick_config(mu=0.0, lam=0.0, epochs=4, patience=4, seed=2)
+    _, hist = train(g, split, cfg)
+    assert len(hist.losses) == 4
+    for b in hist.losses:
+        assert b.total == b.l1
+        assert b.l2 > 0.0 and b.omega_reg > 0.0
+
+
 def test_history_lengths_match_epochs():
     g, split = small_setup()
     cfg = quick_config(epochs=6, patience=6)
@@ -205,6 +215,18 @@ def test_eps_zero_predictions_match_base(kind):
 # ---------------------------------------------------------------- save/load
 
 
+# Tensor order of the model file, per layer (format v1).
+_OMEGA_HEADERS = {
+    "gcn": ["omega.b", "omega.w"],
+    "sage": ["omega.b", "omega.w_neigh", "omega.w_self"],
+    "gat": ["omega.head0.w", "omega.head0.att_self", "omega.head0.att_nbr",
+            "omega.head1.w", "omega.head1.att_self", "omega.head1.att_nbr",
+            "omega.b"],
+}
+_DEBIAS_HEADERS = ["debias_low.w", "debias_low.b", "debias_high.w", "debias_high.b",
+                   "film_scale.w", "film_scale.b", "film_shift.w", "film_shift.b"]
+
+
 @pytest.mark.parametrize("kind", ["gcn", "sage", "gat"])
 def test_save_load_round_trip_bit_exact(kind, tmp_path):
     g, split = small_setup(seed=6)
@@ -214,6 +236,14 @@ def test_save_load_round_trip_bit_exact(kind, tmp_path):
     save_model(params, cfg, path)
     loaded, loaded_cfg = load_model(path)
     assert loaded_cfg == cfg
+    resaved = str(tmp_path / "resaved.txt")
+    save_model(loaded, loaded_cfg, resaved)
+    text = open(path, "rb").read()
+    assert open(resaved, "rb").read() == text
+    headers = [line.split()[1] for line in text.decode().splitlines()
+               if line.startswith("tensor ")]
+    assert headers == [f"layer{i}.{name}" for i in (0, 1)
+                       for name in _OMEGA_HEADERS[kind] + _DEBIAS_HEADERS]
     before = predict(params, g, cfg)
     after = predict(loaded, g, loaded_cfg)
     assert np.array_equal(before, after)
@@ -247,6 +277,31 @@ def test_load_rejects_wrong_magic(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize("kind,field,value,named", [
+    ("gcn", "hidden_dim", 10**6, "layer0.debias_low.w"),
+    ("gat", "gat_heads", 10**6, "layer0.omega.head999999.w"),
+    ("gcn", "num_layers", 10**6, "layer999999.debias_low.w"),
+])
+def test_load_rejects_config_sizing_more_than_the_file(kind, field, value, named,
+                                                       tmp_path):
+    # A config edited to describe a far larger model is rejected before
+    # anything of that size is built.
+    import json
+
+    g, split = small_setup()
+    cfg = quick_config(base_gnn=kind, epochs=1)
+    params, _ = train(g, split, cfg)
+    path = tmp_path / "model.txt"
+    save_model(params, cfg, str(path))
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[1][len("config "):])
+    record[field] = value
+    lines[1] = "config " + json.dumps(record, sort_keys=True)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ModelFileError, match=named.replace(".", r"\.")):
+        load_model(str(path))
+
+
 def test_saved_config_round_trips(tmp_path):
     g, split = small_setup()
     cfg = quick_config(epochs=1, eps=0.25, mu=7.5, threshold=3.0)
@@ -266,6 +321,27 @@ def test_divergence_raises():
     cfg = quick_config(epochs=20, patience=20, dropout=0.0, lr=1e150)
     from degfair.training import TrainingDivergedError
 
-    with pytest.raises(TrainingDivergedError), warnings.catch_warnings():
+    with pytest.raises(
+        TrainingDivergedError,
+        match=r"^non-finite loss \S+ at epoch \d+: first non-finite term "
+              r"(l1|l2|l3|l4|omega_reg)=",
+    ), warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # deliberate overflow
+        train(g, split, cfg)
+
+
+def test_divergence_names_the_first_non_finite_parameter():
+    import warnings
+
+    g, split = small_setup(seed=0, n=30)
+    cfg = quick_config(epochs=3, patience=3, dropout=0.0, lr=np.inf)
+    from degfair.training import TrainingDivergedError
+
+    # An infinite step size makes every parameter non-finite at epoch 0; the
+    # first in registry order is named.
+    with pytest.raises(
+        TrainingDivergedError,
+        match=r"^parameter layer0\.omega\.b is non-finite after the step at epoch 0$",
+    ), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
         train(g, split, cfg)
