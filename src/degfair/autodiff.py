@@ -42,7 +42,7 @@ __all__ = [
     "segment_softmax",
     "affine",
     "add_scaled",
-    "mask_blend",
+    "routed_affine",
     "film_modulate",
     "sparse_matmul",
     "dropout",
@@ -312,8 +312,9 @@ def log(x: Tensor) -> Tensor:
 
 
 def clamp_min(x: Tensor, floor: float) -> Tensor:
+    """Raise entries below ``floor`` to it; NaN passes through unchanged."""
     x = as_tensor(x)
-    mask = x.data > floor
+    mask = ~(x.data <= floor)
     out = Tensor(np.where(mask, x.data, floor))
     return _record(out, [(x, lambda g: g * mask)])
 
@@ -436,22 +437,42 @@ def add_scaled(a: Tensor, b: Tensor, c: float) -> Tensor:
     return _record(out, [(a, lambda g: g), (b, lambda g: c * g)])
 
 
-def mask_blend(mask_col: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
-    """Row-wise selection: rows of ``a`` where the 0/1 mask is 1, else ``b``."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.shape != b.shape:
-        raise ValueError(f"mask_blend shape mismatch: {a.shape} vs {b.shape}")
-    mask = np.asarray(mask_col).reshape(-1, 1) != 0
-    if mask.shape[0] != a.shape[0]:
-        raise ValueError("mask length does not match the row count")
-    out = Tensor(np.where(mask, a.data, b.data))
-    return _record(
-        out,
-        [
-            (a, lambda g: np.where(mask, g, 0.0)),
-            (b, lambda g: np.where(mask, 0.0, g)),
-        ],
-    )
+def routed_affine(x: Tensor, route: np.ndarray, nets) -> Tensor:
+    """Per-row choice of fully connected layer: row i is x[i] @ w + b of nets[route[i]].
+
+    ``nets`` is a sequence of ``(w, b)`` pairs with one output width; a row
+    routed to -1 is zero. Each net runs on its own rows only, and the parts
+    write disjoint rows, so the adjoint is plain row assignment.
+    """
+    x = as_tensor(x)
+    nets = [(as_tensor(w), as_tensor(b)) for w, b in nets]
+    width = nets[0][0].shape[1]
+    for w, b in nets:
+        if w.shape != (x.shape[1], width) or b.shape != (1, width):
+            raise ValueError(
+                f"routed_affine shape mismatch: {x.shape} @ {w.shape} + {b.shape}"
+            )
+    route = np.asarray(route).reshape(-1)
+    if route.shape[0] != x.shape[0]:
+        raise ValueError("route length does not match the row count")
+    if route.size and (route.min() < -1 or route.max() >= len(nets)):
+        raise ValueError(f"route values must lie in [-1, {len(nets)})")
+    parts = [np.flatnonzero(route == k) for k in range(len(nets))]
+    out = np.zeros((x.shape[0], width))
+    for rows, (w, b) in zip(parts, nets):
+        out[rows] = x.data[rows] @ w.data + b.data
+
+    def vjp_x(g):
+        gx = np.zeros(x.shape)
+        for rows, (w, _) in zip(parts, nets):
+            gx[rows] = g[rows] @ w.data.T
+        return gx
+
+    pairs = [(x, vjp_x)]
+    for rows, (w, b) in zip(parts, nets):
+        pairs.append((w, lambda g, rows=rows: x.data[rows].T @ g[rows]))
+        pairs.append((b, lambda g, rows=rows: g[rows].sum(axis=0, keepdims=True)))
+    return _record(Tensor(out), pairs)
 
 
 def film_modulate(base: Tensor, scale: Tensor, shift: Tensor) -> Tensor:

@@ -227,18 +227,19 @@ def load_graph(edge_path: str, feature_path: str, label_path: str) -> Graph:
 def save_graph_files(
     g: Graph, edge_path: str, feature_path: str, label_path: str
 ) -> None:
-    """Write a graph back out in the three-file on-disk format."""
+    """Write a graph back out in the three-file on-disk format.
+
+    Each undirected edge is written once, as ``v<TAB>u`` with v < u, in CSR
+    order; features use 17 significant digits, so they reload bit-exactly.
+    """
+    src = np.repeat(np.arange(g.num_nodes), g.degrees)
+    once = src < g.csr_neighbors
+    pairs = map("{}\t{}\n".format, src[once].tolist(), g.csr_neighbors[once].tolist())
     with open(edge_path, "w", encoding="utf-8") as fh:
-        for v in range(g.num_nodes):
-            for u in g.neighbors(v):
-                if v < u:  # each undirected edge once
-                    fh.write(f"{v}\t{u}\n")
-    with open(feature_path, "w", encoding="utf-8") as fh:
-        for row in g.features:
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+        fh.write("".join(pairs))
+    np.savetxt(feature_path, g.features, fmt="%.17g", delimiter=",", encoding="utf-8")
     with open(label_path, "w", encoding="utf-8") as fh:
-        for y in g.labels:
-            fh.write(f"{y}\n")
+        fh.write("".join(map("{}\n".format, g.labels.tolist())))
 
 
 def adjacency_matvec(

@@ -4,9 +4,11 @@ Each layer combines a base neighborhood aggregation with a learned,
 degree-conditioned debiasing context: a context embedding (mean over the
 r-hop local context) is passed through a group-specific linear map and
 modulated feature-wise by scaling/shifting vectors generated from a
-sinusoidal encoding of the node's degree. Low-degree and high-degree nodes
-select different debiasing parameters, and the selected context is added
-into the aggregation pre-activation with weight ``eps``.
+sinusoidal encoding of the node's degree. Each node goes through the
+debiasing net of its own degree group (low or high), and that context is
+added into the aggregation pre-activation with weight ``eps``. The other
+group's net enters only through the cross-group training constraint, which
+builds the opposite context on training nodes from the layer's trace.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ from degfair.autodiff import (
     film_modulate,
     gather_rows,
     leaky_relu,
-    mask_blend,
     matmul,
     relu,
+    routed_affine,
     scalar_mul,
     scale_rows,
     segment_softmax,
@@ -58,7 +60,6 @@ __all__ = [
     "fair_layer_forward",
     "model_forward",
     "base_forward",
-    "infer_probs",
 ]
 
 
@@ -163,15 +164,18 @@ class ModelParams:
 class LayerTraceEntry:
     """Per-layer activations plus everything the training constraints need.
 
-    Both groups' debiasing contexts are kept for every node: the
-    cross-group constraint penalizes the context a node did *not* use.
+    ``ctx`` is the context embedding and ``scale`` / ``shift`` the
+    per-node modulation rows; ``debias`` holds the layer's (low, high)
+    debiasing nets, indexed by group id. The forward ran each node through
+    its own group's net only; the cross-group constraint rebuilds the
+    context a node did *not* use from these, on the rows it penalizes.
     """
 
     h: Tensor
-    debias_low: Tensor
-    debias_high: Tensor
+    ctx: Tensor
     scale: Tensor
     shift: Tensor
+    debias: tuple[Linear, Linear]
 
 
 @dataclass
@@ -256,13 +260,14 @@ class GraphOperators:
     """Constant per-graph structure shared by every layer and epoch.
 
     Built once by :func:`build_operators`; holds the pooling/normalization
-    operators, the attention edge arrays (A+I pattern), group indicator
-    columns, and cached degree encodings per unique degree value.
+    operators, the attention edge arrays (A+I pattern), each node's
+    debiasing group id (0 low, 1 high), and cached degree encodings per
+    unique degree value.
     """
 
     num_nodes: int
     ctx_mean: FixedSparse
-    low_mask: np.ndarray
+    group: np.ndarray
     unique_degrees: np.ndarray
     degree_inverse: np.ndarray
     gcn_norm: FixedSparse | None = None
@@ -296,8 +301,8 @@ def build_operators(
     if not covered.all() or low.size + high.size != g.num_nodes:
         raise ValueError("debiasing groups must partition the full node set")
 
-    low_mask = np.zeros(g.num_nodes)
-    low_mask[low] = 1.0
+    group = np.ones(g.num_nodes, dtype=np.int64)
+    group[low] = 0
     offsets, members = local_contexts(g, r_context)
     deg1 = g.degrees.astype(np.float64)
     unique_degrees, degree_inverse = np.unique(deg1, return_inverse=True)
@@ -305,7 +310,7 @@ def build_operators(
     ops = GraphOperators(
         num_nodes=g.num_nodes,
         ctx_mean=context_operator(g.num_nodes, offsets, members),
-        low_mask=low_mask,
+        group=group,
         unique_degrees=unique_degrees,
         degree_inverse=degree_inverse,
     )
@@ -348,14 +353,21 @@ def film_factors(encoding: Tensor, scale_net: Linear, shift_net: Linear):
 
 
 def debias_context(
-    ctx_emb: Tensor, scale: Tensor, shift: Tensor, net: Linear
+    ctx_emb: Tensor,
+    scale: Tensor,
+    shift: Tensor,
+    nets: tuple[Linear, ...],
+    route: np.ndarray,
 ) -> Tensor:
-    """(scale + 1) * net(context) + shift, elementwise.
+    """(scale + 1) * nets[route[i]](context[i]) + shift, row by row.
 
-    Scaling is centered on one: zero scale/shift leaves net(context)
+    Each row goes through the net its route names, and only that net; a
+    row routed to -1 gets zero before modulation, so it holds ``shift``.
+    Scaling is centered on one: zero scale/shift leaves the net output
     untouched.
     """
-    return film_modulate(net(ctx_emb), scale, shift)
+    raw = routed_affine(ctx_emb, route, [(net.w, net.b) for net in nets])
+    return film_modulate(raw, scale, shift)
 
 
 def _gat_head(
@@ -431,13 +443,13 @@ def fair_layer_forward(
     eps: float,
     activation: str,
 ) -> LayerTraceEntry:
-    """One debiased layer: sigma(Aggr(h) + eps * selected debiasing context).
+    """One debiased layer: sigma(Aggr(h) + eps * own-group debiasing context).
 
-    Both groups' contexts are computed for every node (the unused one is
-    needed by the cross-group constraint); the per-node selection picks the
-    low-group context for low-degree nodes and vice versa. With eps == 0
-    the addition is skipped entirely, so the output is bit-identical to the
-    plain base aggregation.
+    Each node's context goes through its own group's debiasing net only,
+    so neither net runs on the other group's rows. The trace keeps the
+    context embedding, the modulation rows and both nets for the training
+    constraints. With eps == 0 the own-group context is neither computed
+    nor added, so the output is bit-identical to the plain base aggregation.
     """
     out_width = layer.film_scale.b.shape[1]
     ctx = context_embedding(h_prev, ops.ctx_mean)
@@ -445,19 +457,18 @@ def fair_layer_forward(
     scale_u, shift_u = film_factors(enc, layer.film_scale, layer.film_shift)
     scale = gather_rows(scale_u, ops.degree_inverse)
     shift = gather_rows(shift_u, ops.degree_inverse)
-    d_low = debias_context(ctx, scale, shift, layer.debias_low)
-    d_high = debias_context(ctx, scale, shift, layer.debias_high)
+    debias = (layer.debias_low, layer.debias_high)
 
     pre = base_aggregate(h_prev, ops, layer.omega, kind)
     if eps != 0.0:
-        selected = mask_blend(ops.low_mask, d_low, d_high)
-        pre = add_scaled(pre, selected, eps)
+        own = debias_context(ctx, scale, shift, debias, ops.group)
+        pre = add_scaled(pre, own, eps)
     return LayerTraceEntry(
         h=_activate(pre, activation),
-        debias_low=d_low,
-        debias_high=d_high,
+        ctx=ctx,
         scale=scale,
         shift=shift,
+        debias=debias,
     )
 
 
@@ -474,9 +485,11 @@ def model_forward(
 ) -> ForwardTrace:
     """Full forward pass: ReLU hidden layers, softmax output layer.
 
-    Dropout (train mode only) is applied to hidden activations, and to the
-    input features as well when ``dropout_input`` is set. ``features``
-    overrides the raw graph features (e.g. a normalized copy).
+    This is the one debiased forward: training runs it on a tape, and the
+    per-epoch eval and ``predict`` run it outside one. Dropout (train mode
+    only) is applied to hidden activations, and to the input features as
+    well when ``dropout_input`` is set. ``features`` overrides the raw graph
+    features (e.g. a normalized copy).
     """
     if train_mode and dropout_rate > 0.0 and rng is None:
         raise ValueError("training-mode dropout needs an rng")
@@ -494,43 +507,6 @@ def model_forward(
         if i != last:
             h = dropout(h, dropout_rate, train_mode, rng)
     return ForwardTrace(layers=entries, probs=entries[-1].h)
-
-
-def infer_probs(
-    g: Graph,
-    params: ModelParams,
-    ops: GraphOperators,
-    eps: float,
-    features: Tensor | None = None,
-) -> np.ndarray:
-    """Dropout-free inference without the tape; returns probabilities.
-
-    Each node's context goes through its own group's debiasing net only
-    (the unused branch matters solely for training constraints), so this
-    is the cheap path for prediction and per-epoch accuracy tracking.
-    """
-    h = features if features is not None else Tensor(g.features)
-    low = ops.low_mask != 0
-    high = ~low
-    last = len(params.layers) - 1
-    for i, layer in enumerate(params.layers):
-        pre = base_aggregate(h, ops, layer.omega, params.kind)
-        if eps != 0.0:
-            width = layer.film_scale.b.shape[1]
-            ctx = ops.ctx_mean.fwd @ h.data
-            enc = ops.encoding(_even(width)).data
-            scale = (enc @ layer.film_scale.w.data + layer.film_scale.b.data)[
-                ops.degree_inverse
-            ]
-            shift = (enc @ layer.film_shift.w.data + layer.film_shift.b.data)[
-                ops.degree_inverse
-            ]
-            f = np.empty((g.num_nodes, width))
-            f[low] = ctx[low] @ layer.debias_low.w.data + layer.debias_low.b.data
-            f[high] = ctx[high] @ layer.debias_high.w.data + layer.debias_high.b.data
-            pre = Tensor(pre.data + eps * ((scale + 1.0) * f + shift))
-        h = _activate(pre, "softmax" if i == last else "relu")
-    return h.data
 
 
 def base_forward(

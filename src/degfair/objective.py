@@ -34,7 +34,7 @@ from degfair.autodiff import (
     sub,
     sum_all,
 )
-from degfair.layers import ForwardTrace, ModelParams
+from degfair.layers import ForwardTrace, ModelParams, debias_context
 
 __all__ = [
     "LossBreakdown",
@@ -93,29 +93,23 @@ def fairness_loss(h_final: Tensor, low_tr: np.ndarray, high_tr: np.ndarray) -> T
     return sq_norm(sub(mean_low, mean_high))
 
 
-def _row_mask(idx: np.ndarray, num_rows: int) -> np.ndarray:
-    mask = np.zeros(num_rows)
-    mask[idx] = 1.0
-    return mask
-
-
 def debias_constraint(trace: ForwardTrace, low_tr: np.ndarray, high_tr: np.ndarray) -> Tensor:
     """Cross-group context penalty, summed over layers.
 
     Low-degree training nodes penalize the high-group context they do not
     use, and vice versa; both should be near zero for the opposite group.
+    The opposite contexts are built here from each layer's trace, on the
+    training rows of the two groups only.
     """
     low_tr = np.asarray(low_tr, dtype=np.int64)
     high_tr = np.asarray(high_tr, dtype=np.int64)
+    opposite = np.full(trace.layers[0].ctx.shape[0], -1, dtype=np.int64)
+    opposite[low_tr] = 1
+    opposite[high_tr] = 0
     total = Tensor([[0.0]])
-    num_rows = trace.layers[0].debias_low.shape[0]
-    low_mask = _row_mask(low_tr, num_rows)
-    high_mask = _row_mask(high_tr, num_rows)
     for entry in trace.layers:
-        if low_tr.size:
-            total = add(total, masked_sq_norm(entry.debias_high, low_mask))
-        if high_tr.size:
-            total = add(total, masked_sq_norm(entry.debias_low, high_mask))
+        unused = debias_context(entry.ctx, entry.scale, entry.shift, entry.debias, opposite)
+        total = add(total, masked_sq_norm(unused, opposite >= 0))
     return total
 
 
@@ -125,7 +119,8 @@ def film_constraint(trace: ForwardTrace, train_idx: np.ndarray) -> Tensor:
     total = Tensor([[0.0]])
     if train_idx.size == 0:
         return total
-    mask = _row_mask(train_idx, trace.layers[0].scale.shape[0])
+    mask = np.zeros(trace.layers[0].scale.shape[0])
+    mask[train_idx] = 1.0
     for entry in trace.layers:
         total = add(total, masked_sq_norm(entry.scale, mask))
         total = add(total, masked_sq_norm(entry.shift, mask))

@@ -31,7 +31,6 @@ from degfair.layers import (
     _even,
     base_forward,
     build_operators,
-    infer_probs,
     input_features,
     model_forward,
 )
@@ -244,7 +243,7 @@ def _eval_probs(
 ) -> np.ndarray:
     if config.model == "base":
         return base_forward(g, params, ops, features=feats).data
-    return infer_probs(g, params, ops, eps=config.eps, features=feats)
+    return model_forward(g, params, ops, eps=config.eps, features=feats).probs.data
 
 
 def train(

@@ -53,6 +53,41 @@ def test_shape_errors():
         ad.log(Tensor([[1.0, -1.0]]))
 
 
+def test_clamp_min_propagates_nan():
+    x = Tensor([[np.nan, 0.01, 0.05, 0.5]], requires_grad=True)
+    with Tape() as tape:
+        out = ad.clamp_min(x, 0.05)
+        loss = ad.sum_all(ad.mul(out, Tensor([[1.0, 2.0, 3.0, 4.0]])))
+    assert np.isnan(out.data[0, 0])
+    assert out.data[0, 1:].tolist() == [0.05, 0.05, 0.5]
+    tape.backward(loss)
+    assert x.grad[0, 1:].tolist() == [0.0, 0.0, 4.0]
+
+
+def test_routed_affine_values_and_rows():
+    def param(a):
+        return Tensor(a, requires_grad=True)
+
+    x = param([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    nets = [(param(np.eye(2)), param([[1.0, 1.0]])),
+            (param(2 * np.eye(2)), param([[0.0, 0.0]])),
+            (param(np.ones((2, 2))), param([[9.0, 9.0]]))]
+    with Tape() as tape:
+        out = ad.routed_affine(x, np.array([1, -1, 0]), nets)
+        loss = ad.sum_all(out)
+    assert out.data.tolist() == [[2.0, 4.0], [0.0, 0.0], [6.0, 7.0]]
+    tape.backward(loss)
+    assert x.grad.tolist() == [[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]]
+    assert nets[0][0].grad.tolist() == [[5.0, 5.0], [6.0, 6.0]]
+    assert nets[1][1].grad.tolist() == [[1.0, 1.0]]
+    assert np.array_equal(nets[2][0].grad, np.zeros((2, 2)))  # no rows routed to it
+    assert np.array_equal(nets[2][1].grad, np.zeros((1, 2)))
+    with pytest.raises(ValueError):
+        ad.routed_affine(x, np.array([0, 3, 0]), nets)
+    with pytest.raises(ValueError):
+        ad.routed_affine(x, np.array([0, 1]), nets)
+
+
 # ----------------------------------------------------------------- backward
 
 
@@ -197,7 +232,11 @@ def op_programs(rng):
     gathered_cot = Tensor(rng.standard_normal((idx.size, d)))
     mean_cot = Tensor(rng.standard_normal((1, d)))
     bias_k = tensor(rng, 1, k)
-    blend_mask = rng.integers(0, 2, size=n).astype(float)
+    # Rows 0-2 go to net 0, net 1 and nowhere; net 2 gets no rows at all.
+    route = np.concatenate([[0, 1, -1], rng.integers(-1, 2, size=n)])
+    routed_x = tensor(rng, n + 3, d)
+    routed_nets = [(tensor(rng, d, k), tensor(rng, 1, k)) for _ in range(3)]
+    routed_cot = Tensor(rng.standard_normal((n + 3, k)))
 
     def through(out, co):
         return ad.sum_all(ad.mul(out, co))
@@ -229,7 +268,10 @@ def op_programs(rng):
                                              if not bias_k.requires_grad else bias_k),
                                    cot_k), [a, b, bias_k]),
         "add_scaled": (lambda: through(ad.add_scaled(a, c, -0.7), cot), [a, c]),
-        "mask_blend": (lambda: through(ad.mask_blend(blend_mask, a, c), cot), [a, c]),
+        "routed_affine": (
+            lambda: through(ad.routed_affine(routed_x, route, routed_nets), routed_cot),
+            [routed_x] + [t for net in routed_nets for t in net],
+        ),
         "film_modulate": (
             lambda: through(ad.film_modulate(a, c, pos), cot), [a, c, pos],
         ),

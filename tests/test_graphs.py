@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -15,6 +18,7 @@ from degfair.graphs import (
     partition_boundaries,
     partition_contrast,
     partition_top_bottom,
+    save_graph_files,
     split_nodes,
     synth_generate,
 )
@@ -301,6 +305,94 @@ def test_boundary_partition():
     assert ga.groups[1].tolist() == [2, 3, 4]
     with pytest.raises(ValueError):
         partition_boundaries(deg, [3.0, 1.0])
+
+
+@st.composite
+def degree_universes(draw, min_size=0):
+    """Integer-valued degrees plus a node universe (None = every node)."""
+    n = draw(st.integers(min_value=max(min_size, 1), max_value=30))
+    degrees = np.array(draw(st.lists(st.integers(0, 8), min_size=n, max_size=n)), dtype=float)
+    universe = draw(st.none() | st.sets(st.integers(0, n - 1), min_size=min_size))
+    return degrees, universe
+
+
+def universe_ids(degrees, universe):
+    return list(range(degrees.size)) if universe is None else sorted(universe)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=degree_universes(), threshold=st.integers(-1, 9) | st.floats(-1.0, 9.0))
+@example(data=(np.array([2.0, 3.0, 3.0, 4.0]), None), threshold=3)
+def test_contrast_property_disjoint_covering_inclusive(data, threshold):
+    degrees, universe = data
+    ids = universe_ids(degrees, universe)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # one group may be empty
+        low, high = partition_contrast(degrees, threshold, node_universe=universe).groups
+    assert low.tolist() == [v for v in ids if degrees[v] <= threshold]
+    assert high.tolist() == [v for v in ids if degrees[v] > threshold]
+    assert not set(low.tolist()) & set(high.tolist())
+    assert sorted(low.tolist() + high.tolist()) == ids
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=degree_universes(min_size=2),
+       fraction=st.floats(min_value=0.01, max_value=0.5))
+@example(data=(np.full(6, 3.0), None), fraction=0.5)
+def test_top_bottom_property_sizes_disjoint_ties_by_id(data, fraction):
+    degrees, universe = data
+    ids = universe_ids(degrees, universe)
+    bottom, top = partition_top_bottom(degrees, fraction, node_universe=universe).groups
+    k = math.floor(fraction * len(ids))
+    ranked = sorted(ids, key=lambda v: (degrees[v], v))
+    assert bottom.size == top.size == k
+    assert bottom.tolist() == sorted(ranked[:k])
+    assert top.tolist() == sorted(ranked[len(ranked) - k:])
+    assert not set(bottom.tolist()) & set(top.tolist())
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=degree_universes(),
+       bounds=st.lists(st.integers(-1, 10), min_size=2, max_size=6, unique=True))
+@example(data=(np.array([0.0, 2.0, 5.0, 5.0]), None), bounds=[0, 2, 5])
+def test_boundaries_property_half_open(data, bounds):
+    degrees, universe = data
+    bounds = sorted(bounds)
+    ids = universe_ids(degrees, universe)
+    groups = partition_boundaries(degrees, bounds, node_universe=universe).groups
+    assert len(groups) == len(bounds) - 1
+    for i, group in enumerate(groups):
+        assert group.tolist() == [v for v in ids if bounds[i] <= degrees[v] < bounds[i + 1]]
+    placed = sorted(v for group in groups for v in group.tolist())
+    assert placed == [v for v in ids if bounds[0] <= degrees[v] < bounds[-1]]
+
+
+# ------------------------------------------------------------------ save files
+
+
+def test_save_graph_files_bytes_match_loop_oracle(tmp_path):
+    # The writer's output, byte for byte, against a per-node loop over the
+    # adjacency, on a graph with isolated nodes, large ids and special values.
+    g = synth_generate(60, 2, 0.9, 3, seed=4)
+    edges = [(v, u) for v in range(60) for u in g.neighbors(v) if v < u] + [(3, 1205)]
+    feats = np.random.default_rng(0).standard_normal((1207, 3))
+    feats[:4] = [[-0.0, np.inf, -np.inf], [np.nan, 1e-300, 1.0 / 3.0],
+                 [1e17, -2.5, 0.0], [5e-324, 123456789.0, -1e-7]]
+    g = build_graph(np.array(edges), feats, np.arange(1207) % 3)
+    paths = [str(tmp_path / name) for name in ("e.tsv", "f.csv", "l.txt")]
+    save_graph_files(g, *paths)
+
+    edge_text = "".join(
+        f"{v}\t{u}\n" for v in range(g.num_nodes) for u in g.neighbors(v) if v < u
+    )
+    feature_text = "".join(",".join(f"{x:.17g}" for x in row) + "\n" for row in feats)
+    label_text = "".join(f"{y}\n" for y in g.labels)
+    for path, text in zip(paths, (edge_text, feature_text, label_text)):
+        with open(path, "rb") as fh:
+            assert fh.read() == text.encode("utf-8")
+    back = load_graph(*paths)
+    assert np.array_equal(back.csr_neighbors, g.csr_neighbors)
+    assert np.array_equal(back.features, g.features, equal_nan=True)
 
 
 # --------------------------------------------------------------------- misc

@@ -154,14 +154,15 @@ def test_debias_reduces_to_net_output():
     c = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
     zeros = Tensor(np.zeros((2, 2)))
     net = lin([[1.0, 0.0], [0.0, 2.0]])
-    d = debias_context(c, zeros, zeros, net)
+    d = debias_context(c, zeros, zeros, (net,), np.zeros(2, dtype=int))
     assert np.allclose(d.data, [[1.0, 4.0], [3.0, 8.0]])
 
 
 def test_debias_zero_net_gives_shift():
     c = Tensor(np.ones((2, 2)))
     beta = Tensor(np.array([[0.5, -0.5], [1.0, 2.0]]))
-    d = debias_context(c, Tensor(np.zeros((2, 2))), beta, lin(np.zeros((2, 2))))
+    d = debias_context(c, Tensor(np.zeros((2, 2))), beta, (lin(np.zeros((2, 2))),),
+                       np.zeros(2, dtype=int))
     assert np.allclose(d.data, beta.data)
 
 
@@ -169,7 +170,7 @@ def test_debias_unit_scale_doubles():
     c = Tensor(np.array([[1.0, 2.0]]))
     ones = Tensor(np.ones((1, 2)))
     net = lin(np.eye(2))
-    d = debias_context(c, ones, Tensor(np.zeros((1, 2))), net)
+    d = debias_context(c, ones, Tensor(np.zeros((1, 2))), (net,), np.zeros(1, dtype=int))
     assert np.allclose(d.data, [[2.0, 4.0]])
 
 
@@ -273,8 +274,10 @@ def test_fair_layer_all_low_selects_low_context():
     entry = fair_layer_forward(h, ops, layer, "gcn", eps=1.0, activation="identity")
     base = base_aggregate(h, ops, layer.omega, "gcn")
     # All nodes sit in the low group, so only debias_low enters the output.
-    assert np.allclose(entry.h.data, base.data + entry.debias_low.data)
-    assert not np.allclose(entry.debias_low.data, entry.debias_high.data)
+    low_ctx, high_ctx = (entry.ctx.data @ net.w.data + net.b.data for net in entry.debias)
+    assert np.array_equal(ops.group, np.zeros(3, dtype=np.int64))
+    assert np.allclose(entry.h.data, base.data + low_ctx)
+    assert not np.allclose(low_ctx, high_ctx)
 
 
 def test_fair_layer_hand_oracle_on_path():
@@ -337,19 +340,52 @@ def test_model_forward_deterministic():
                       rng=np.random.default_rng(9))
     assert np.array_equal(a.probs.data, b.probs.data)
     for ea, eb in zip(a.layers, b.layers):
-        assert np.array_equal(ea.debias_low.data, eb.debias_low.data)
+        assert np.array_equal(ea.ctx.data, eb.ctx.data)
         assert np.array_equal(ea.scale.data, eb.scale.data)
 
 
-def test_trace_holds_both_contexts_every_layer():
+def test_mixed_routing_matches_dense_oracle():
+    # Each node adds the context of its own group's net only: a dense
+    # per-node formula over both groups, with nonzero modulation.
     g, config, ops, params = synth_setup("gcn")
-    trace = model_forward(g, params, ops, eps=0.7)
-    assert len(trace.layers) == 2
-    for entry in trace.layers:
-        assert entry.debias_low.shape == entry.debias_high.shape
-        assert entry.scale.shape == entry.shift.shape
-        assert np.all(np.isfinite(entry.debias_low.data))
-        assert np.all(np.isfinite(entry.debias_high.data))
+    assert 0 < np.count_nonzero(ops.group) < g.num_nodes  # both groups present
+    rng = np.random.default_rng(3)
+    for layer in params.layers:
+        for net in (layer.film_scale, layer.film_shift, layer.debias_low,
+                    layer.debias_high):
+            net.w.data = rng.standard_normal(net.w.shape)
+            net.b.data = rng.standard_normal(net.b.shape)
+    trace = model_forward(g, params, ops, eps=config.eps)
+
+    adj = np.zeros((g.num_nodes, g.num_nodes))
+    for v in range(g.num_nodes):
+        adj[v, g.neighbors(v)] = 1.0
+    closed = adj + np.eye(g.num_nodes)
+    deg = closed.sum(axis=1)
+    a_hat = closed / np.sqrt(np.outer(deg, deg))
+    ctx_mean = closed / deg[:, None]
+    h = g.features
+    for i, (layer, entry) in enumerate(zip(params.layers, trace.layers)):
+        width = layer.film_scale.b.shape[1]
+        enc = degree_encoding_matrix(g.degrees.astype(float), width + width % 2)
+        scale = enc @ layer.film_scale.w.data + layer.film_scale.b.data
+        shift = enc @ layer.film_shift.w.data + layer.film_shift.b.data
+        pre = a_hat @ h @ layer.omega["w"].data + layer.omega["b"].data
+        for v in range(g.num_nodes):
+            net = (layer.debias_low, layer.debias_high)[ops.group[v]]
+            own = ctx_mean[v] @ h @ net.w.data + net.b.data[0]
+            pre[v] += config.eps * ((scale[v] + 1.0) * own + shift[v])
+        if i == len(params.layers) - 1:
+            e = np.exp(pre - pre.max(axis=1, keepdims=True))
+            h = e / e.sum(axis=1, keepdims=True)
+        else:
+            h = np.maximum(pre, 0.0)
+        assert np.allclose(entry.h.data, h, atol=1e-12)
+        assert np.allclose(entry.ctx.data, ctx_mean @ (g.features if i == 0 else
+                                                       trace.layers[i - 1].h.data))
+        assert np.allclose(entry.scale.data, scale, atol=1e-12)
+        assert np.allclose(entry.shift.data, shift, atol=1e-12)
+    assert np.allclose(trace.probs.data, h, atol=1e-12)
 
 
 def test_odd_class_count_still_works():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from degfair import autodiff as ad
 from degfair.autodiff import Tape, Tensor
-from degfair.layers import ForwardTrace, LayerTraceEntry
+from degfair.layers import ForwardTrace, LayerTraceEntry, Linear
 from degfair.objective import (
     classification_loss,
     debias_constraint,
@@ -27,14 +28,35 @@ def make_trace(entries):
 
 
 def entry(h=None, low=None, high=None, scale=None, shift=None, n=2, d=2):
+    # The context embedding is the n x n identity and the nets have zero
+    # bias, so row i of ``low`` / ``high`` is node i's unmodulated context.
     z = np.zeros((n, d))
+
+    def net(w):
+        return Linear(Tensor(z if w is None else np.asarray(w, dtype=float)),
+                      Tensor(np.zeros((1, d))))
+
     return LayerTraceEntry(
         h=Tensor(z if h is None else np.asarray(h, dtype=float)),
-        debias_low=Tensor(z if low is None else np.asarray(low, dtype=float)),
-        debias_high=Tensor(z if high is None else np.asarray(high, dtype=float)),
+        ctx=Tensor(np.eye(n)),
         scale=Tensor(z if scale is None else np.asarray(scale, dtype=float)),
         shift=Tensor(z if shift is None else np.asarray(shift, dtype=float)),
+        debias=(net(low), net(high)),
     )
+
+
+def random_entry(rng, h, n=6, d_in=4, d=3):
+    def rand(*shape):
+        return Tensor(rng.standard_normal(shape), requires_grad=True)
+
+    return LayerTraceEntry(
+        h=h, ctx=rand(n, d_in), scale=rand(n, d), shift=rand(n, d),
+        debias=(Linear(rand(d_in, d), rand(1, d)), Linear(rand(d_in, d), rand(1, d))),
+    )
+
+
+def entry_tensors(e):
+    return [e.ctx, e.scale, e.shift] + [t for net in e.debias for t in (net.w, net.b)]
 
 
 # ------------------------------------------------------- classification loss
@@ -56,6 +78,13 @@ def test_classification_hand_value():
     probs = Tensor(np.array([[0.5, 0.5], [0.25, 0.75]]))
     loss = classification_loss(probs, np.array([0, 0]), np.array([0, 1]))
     assert loss.item() == pytest.approx(3.0 * math.log(2.0), abs=1e-12)
+
+
+def test_classification_nan_row_gives_nan():
+    # A NaN probability row must not be hidden by the clamp before the log.
+    probs = Tensor(np.array([[0.5, 0.5], [np.nan, np.nan], [0.25, 0.75]]))
+    loss = classification_loss(probs, np.array([0, 1, 1]), np.arange(3))
+    assert np.isnan(loss.item())
 
 
 def test_classification_sums_not_means():
@@ -130,6 +159,20 @@ def test_debias_constraint_crosses_groups():
                               high=[[1.0, 0.0], [2.0, 0.0]])])
     loss = debias_constraint(trace, np.array([0]), np.array([1]))
     assert loss.item() == pytest.approx(1.0 + 9.0, abs=1e-12)
+
+
+def test_debias_constraint_dense_oracle():
+    # Nonzero context, modulation and biases; nodes 1 and 3 are not training
+    # nodes, so they add nothing whatever their contexts are.
+    e = random_entry(np.random.default_rng(8), None, n=4, d_in=5, d=3)
+    low_tr, high_tr = np.array([0]), np.array([2])
+    low_net, high_net = e.debias
+    expected = 0.0
+    for v, net in ((0, high_net), (2, low_net)):
+        raw = e.ctx.data[v] @ net.w.data + net.b.data[0]
+        expected += np.sum(((e.scale.data[v] + 1.0) * raw + e.shift.data[v]) ** 2)
+    loss = debias_constraint(make_trace([e, e]), low_tr, high_tr)
+    assert loss.item() == pytest.approx(2.0 * expected, rel=1e-12)
 
 
 # ------------------------------------------------------------ film constraint
@@ -227,12 +270,7 @@ def test_each_term_same_value_under_no_grad():
     rng = np.random.default_rng(4)
     probs = Tensor(ad.softmax_rows(Tensor(rng.standard_normal((6, 3)))).data,
                    requires_grad=True)
-    tr = make_trace([
-        LayerTraceEntry(h=probs, **{
-            k: Tensor(rng.standard_normal((6, 3)), requires_grad=True)
-            for k in ("debias_low", "debias_high", "scale", "shift")
-        })
-    ])
+    tr = make_trace([random_entry(rng, probs)])
     params = init_params(TrainConfig(base_gnn="gat", hidden_dim=4, gat_heads=2),
                          3, 2, np.random.default_rng(0))
     low, high = np.array([0, 2, 4]), np.array([1, 3, 5])
@@ -260,25 +298,19 @@ def test_each_term_same_value_under_no_grad():
 def test_each_term_passes_fd_in_isolation():
     rng = np.random.default_rng(5)
     logits = Tensor(rng.standard_normal((6, 3)), requires_grad=True)
-    low_v = Tensor(rng.standard_normal((6, 3)), requires_grad=True)
-    high_v = Tensor(rng.standard_normal((6, 3)), requires_grad=True)
-    sc = Tensor(rng.standard_normal((6, 3)), requires_grad=True)
-    sh = Tensor(rng.standard_normal((6, 3)), requires_grad=True)
+    e = random_entry(rng, None)
     labels = np.array([0, 1, 2, 0, 1, 2])
     low, high = np.array([0, 1, 2]), np.array([3, 4, 5])
 
     def trace():
-        return make_trace([
-            LayerTraceEntry(h=ad.softmax_rows(logits), debias_low=low_v,
-                            debias_high=high_v, scale=sc, shift=sh)
-        ])
+        return make_trace([dataclasses.replace(e, h=ad.softmax_rows(logits))])
 
     checks = {
         "l1": (lambda: classification_loss(ad.softmax_rows(logits), labels,
                                            np.arange(6)), [logits]),
         "l2": (lambda: fairness_loss(ad.softmax_rows(logits), low, high), [logits]),
-        "l3": (lambda: debias_constraint(trace(), low, high), [low_v, high_v]),
-        "l4": (lambda: film_constraint(trace(), np.arange(6)), [sc, sh]),
+        "l3": (lambda: debias_constraint(trace(), low, high), entry_tensors(e)),
+        "l4": (lambda: film_constraint(trace(), np.arange(6)), [e.scale, e.shift]),
     }
     for name, (program, params) in checks.items():
         err = ad.fd_check(program, params, rng=np.random.default_rng(1))
@@ -288,17 +320,13 @@ def test_each_term_passes_fd_in_isolation():
 def test_combined_total_passes_fd():
     rng = np.random.default_rng(6)
     logits = Tensor(rng.standard_normal((6, 3)), requires_grad=True)
-    low_v = Tensor(rng.standard_normal((6, 3)), requires_grad=True)
-    high_v = Tensor(rng.standard_normal((6, 3)), requires_grad=True)
+    e = random_entry(rng, None)
     labels = np.array([0, 1, 2, 0, 1, 2])
     low, high = np.array([0, 1, 2]), np.array([3, 4, 5])
 
     def program():
         probs = ad.softmax_rows(logits)
-        tr = make_trace([
-            LayerTraceEntry(h=probs, debias_low=low_v, debias_high=high_v,
-                            scale=low_v, shift=high_v)
-        ])
+        tr = make_trace([dataclasses.replace(e, h=probs)])
         total, _ = total_loss(
             classification_loss(probs, labels, np.arange(6)),
             fairness_loss(probs, low, high),
@@ -310,7 +338,7 @@ def test_combined_total_passes_fd():
         )
         return total
 
-    err = ad.fd_check(program, [logits, low_v, high_v],
+    err = ad.fd_check(program, [logits] + entry_tensors(e),
                       rng=np.random.default_rng(2))
     assert err < 1e-6
 

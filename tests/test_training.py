@@ -170,15 +170,17 @@ def test_debias_contexts_finite_every_epoch():
     cfg = quick_config(epochs=30, patience=30, seed=1)
     params, _ = train(g, split, cfg)
     from degfair.graphs import partition_contrast
-    from degfair.layers import build_operators, input_features
+    from degfair.layers import build_operators, debias_context, input_features
 
     groups = partition_contrast(g.degrees.astype(float), cfg.resolve_threshold(g))
     ops = build_operators(g, 1, groups, "gcn")
     trace = model_forward(g, params, ops, eps=cfg.eps,
                           features=input_features(g, cfg.feature_norm))
     for entry in trace.layers:
-        assert np.all(np.isfinite(entry.debias_low.data))
-        assert np.all(np.isfinite(entry.debias_high.data))
+        for group in (0, 1):  # each group's context, for every node
+            route = np.full(g.num_nodes, group)
+            ctx = debias_context(entry.ctx, entry.scale, entry.shift, entry.debias, route)
+            assert np.all(np.isfinite(ctx.data))
 
 
 # ------------------------------------------------------------------ predict
