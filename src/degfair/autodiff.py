@@ -42,8 +42,7 @@ __all__ = [
     "segment_softmax",
     "affine",
     "add_scaled",
-    "routed_affine",
-    "film_modulate",
+    "film_debias",
     "sparse_matmul",
     "dropout",
     "fd_check",
@@ -340,33 +339,38 @@ def sq_norm(x: Tensor) -> Tensor:
     return _record(out, [(x, lambda g: 2.0 * g[0, 0] * x.data)])
 
 
-def masked_sq_norm(x: Tensor, row_mask: np.ndarray) -> Tensor:
-    """Sum of squared entries over the rows where the 0/1 mask is set."""
+def masked_sq_norm(x: Tensor, row_weights: np.ndarray) -> Tensor:
+    """Sum of squared entries, row i weighted by ``row_weights[i]``.
+
+    A 0/1 mask keeps the rows where it is set; counts weight each row by
+    how many times it stands in for a larger set of rows.
+    """
     x = as_tensor(x)
-    mask = np.asarray(row_mask, dtype=np.float64).reshape(-1)
-    if mask.shape[0] != x.shape[0]:
-        raise ValueError("mask length does not match the row count")
-    out = Tensor(np.einsum("ij,ij,i->", x.data, x.data, mask))
-    col = mask[:, None]
+    weights = np.asarray(row_weights, dtype=np.float64).reshape(-1)
+    if weights.shape[0] != x.shape[0]:
+        raise ValueError("row weight count does not match the row count")
+    out = Tensor(np.einsum("ij,ij,i->", x.data, x.data, weights))
+    col = weights[:, None]
     return _record(out, [(x, lambda g: (2.0 * g[0, 0]) * (col * x.data))])
+
+
+def _scatter_rows(idx: np.ndarray, g: np.ndarray, rows: int) -> np.ndarray:
+    """Adjoint of the row gather ``x[idx]``: add row k of ``g`` into row idx[k].
+
+    One flat bincount is much faster than np.add.at and accumulates
+    duplicates in input order (deterministic).
+    """
+    cols = g.shape[1]
+    flat = (idx[:, None] * cols + np.arange(cols)[None, :]).ravel()
+    return np.bincount(flat, weights=g.ravel(), minlength=rows * cols).reshape(rows, cols)
 
 
 def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
     """Select rows of ``x`` by index; adjoint scatter-adds back."""
     x = as_tensor(x)
     idx = np.asarray(idx, dtype=np.int64)
-    rows, cols = x.shape
-
-    def vjp(g):
-        # One flat bincount is much faster than np.add.at and accumulates
-        # duplicates in input order (deterministic).
-        flat = (idx[:, None] * cols + np.arange(cols)[None, :]).ravel()
-        return np.bincount(flat, weights=g.ravel(), minlength=rows * cols).reshape(
-            rows, cols
-        )
-
     out = Tensor(x.data[idx])
-    return _record(out, [(x, vjp)])
+    return _record(out, [(x, lambda g: _scatter_rows(idx, g, x.shape[0]))])
 
 
 def segment_sum(x: Tensor, offsets: np.ndarray) -> Tensor:
@@ -437,60 +441,80 @@ def add_scaled(a: Tensor, b: Tensor, c: float) -> Tensor:
     return _record(out, [(a, lambda g: g), (b, lambda g: c * g)])
 
 
-def routed_affine(x: Tensor, route: np.ndarray, nets) -> Tensor:
-    """Per-row choice of fully connected layer: row i is x[i] @ w + b of nets[route[i]].
+def film_debias(
+    ctx: Tensor,
+    route: np.ndarray,
+    nets,
+    scale_u: Tensor,
+    shift_u: Tensor,
+    degree_inverse: np.ndarray,
+) -> Tensor:
+    """Routed fully connected layers under degree-conditioned FiLM, in one op.
 
-    ``nets`` is a sequence of ``(w, b)`` pairs with one output width; a row
-    routed to -1 is zero. Each net runs on its own rows only, and the parts
-    write disjoint rows, so the adjoint is plain row assignment.
+    Row i is ``(scale_u[d] + 1) * (ctx[i] @ w + b) + shift_u[d]``, where
+    ``(w, b) = nets[route[i]]`` and ``d = degree_inverse[i]``. ``nets`` is a
+    sequence of ``(w, b)`` pairs with one output width; a row routed to -1
+    gets a zero net output, so it holds ``shift_u[d]``. Each net runs on its
+    own rows only. ``scale_u`` / ``shift_u`` hold one row per unique degree
+    and are never expanded to a tracked per-row tensor: their adjoints
+    reduce straight onto the unique-degree rows.
     """
-    x = as_tensor(x)
+    ctx, scale_u, shift_u = as_tensor(ctx), as_tensor(scale_u), as_tensor(shift_u)
     nets = [(as_tensor(w), as_tensor(b)) for w, b in nets]
-    width = nets[0][0].shape[1]
+    n, width = ctx.shape[0], nets[0][0].shape[1]
     for w, b in nets:
-        if w.shape != (x.shape[1], width) or b.shape != (1, width):
+        if w.shape != (ctx.shape[1], width) or b.shape != (1, width):
             raise ValueError(
-                f"routed_affine shape mismatch: {x.shape} @ {w.shape} + {b.shape}"
+                f"film_debias shape mismatch: {ctx.shape} @ {w.shape} + {b.shape}"
             )
+    if scale_u.shape != shift_u.shape or scale_u.shape[1] != width:
+        raise ValueError(
+            f"film_debias needs scale/shift rows of width {width}, "
+            f"got {scale_u.shape} and {shift_u.shape}"
+        )
     route = np.asarray(route).reshape(-1)
-    if route.shape[0] != x.shape[0]:
-        raise ValueError("route length does not match the row count")
-    if route.size and (route.min() < -1 or route.max() >= len(nets)):
+    inv = np.asarray(degree_inverse, dtype=np.int64).reshape(-1)
+    if route.shape[0] != n or inv.shape[0] != n:
+        raise ValueError("route and degree_inverse lengths must match the row count")
+    if n and (route.min() < -1 or route.max() >= len(nets)):
         raise ValueError(f"route values must lie in [-1, {len(nets)})")
+    if n and (inv.min() < 0 or inv.max() >= scale_u.shape[0]):
+        raise ValueError(f"degree_inverse values must lie in [0, {scale_u.shape[0]})")
     parts = [np.flatnonzero(route == k) for k in range(len(nets))]
-    out = np.zeros((x.shape[0], width))
+    raw = np.zeros((n, width))
     for rows, (w, b) in zip(parts, nets):
-        out[rows] = x.data[rows] @ w.data + b.data
+        part = ctx.data[rows] @ w.data
+        part += b.data
+        raw[rows] = part
+    scale1 = scale_u.data[inv]
+    scale1 += 1.0
+    out = scale1 * raw
+    out += shift_u.data[inv]
 
-    def vjp_x(g):
-        gx = np.zeros(x.shape)
-        for rows, (w, _) in zip(parts, nets):
-            gx[rows] = g[rows] @ w.data.T
+    # g * (scale + 1), split by net, is formed once and shared by the
+    # adjoints of ctx and of every net (a tape replays each entry once).
+    scaled_parts: list[np.ndarray] = []
+
+    def net_grads(g):
+        if not scaled_parts:
+            scaled = g * scale1
+            scaled_parts.extend(scaled[rows] for rows in parts)
+        return scaled_parts
+
+    def vjp_ctx(g):
+        gx = np.zeros(ctx.shape)
+        for rows, gk, (w, _) in zip(parts, net_grads(g), nets):
+            gx[rows] = gk @ w.data.T
         return gx
 
-    pairs = [(x, vjp_x)]
-    for rows, (w, b) in zip(parts, nets):
-        pairs.append((w, lambda g, rows=rows: x.data[rows].T @ g[rows]))
-        pairs.append((b, lambda g, rows=rows: g[rows].sum(axis=0, keepdims=True)))
+    pairs = [(ctx, vjp_ctx)]
+    for k, (rows, (w, b)) in enumerate(zip(parts, nets)):
+        pairs.append((w, lambda g, k=k, rows=rows: ctx.data[rows].T @ net_grads(g)[k]))
+        pairs.append((b, lambda g, k=k: net_grads(g)[k].sum(axis=0, keepdims=True)))
+    unique = scale_u.shape[0]
+    pairs.append((scale_u, lambda g: _scatter_rows(inv, g * raw, unique)))
+    pairs.append((shift_u, lambda g: _scatter_rows(inv, g, unique)))
     return _record(Tensor(out), pairs)
-
-
-def film_modulate(base: Tensor, scale: Tensor, shift: Tensor) -> Tensor:
-    """Feature-wise modulation in one op: (scale + 1) * base + shift."""
-    base, scale, shift = as_tensor(base), as_tensor(scale), as_tensor(shift)
-    if base.shape != scale.shape or base.shape != shift.shape:
-        raise ValueError(
-            f"film_modulate shape mismatch: {base.shape}, {scale.shape}, {shift.shape}"
-        )
-    out = Tensor((scale.data + 1.0) * base.data + shift.data)
-    return _record(
-        out,
-        [
-            (base, lambda g: g * (scale.data + 1.0)),
-            (scale, lambda g: g * base.data),
-            (shift, lambda g: g),
-        ],
-    )
 
 
 class FixedSparse:

@@ -252,19 +252,7 @@ def cmd_audit(args) -> int:
         # Metrics need labels and structure only; fabricate unit features.
         labels = read_labels(args.labels)
         g = build_graph(read_edges(args.edges), np.zeros((labels.size, 1)), labels)
-    preds = []
-    with open(args.preds, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                preds.append(int(line))
-            except ValueError:
-                raise GraphFormatError(
-                    f"{args.preds}:{lineno}: expected a class index, got {line!r}"
-                ) from None
-    preds = np.array(preds, dtype=np.int64)
+    preds = read_labels(args.preds)
     if preds.shape[0] != g.num_nodes:
         raise GraphDataError(
             f"{args.preds}: {preds.shape[0]} predictions for {g.num_nodes} nodes"

@@ -4,11 +4,13 @@ Each layer combines a base neighborhood aggregation with a learned,
 degree-conditioned debiasing context: a context embedding (mean over the
 r-hop local context) is passed through a group-specific linear map and
 modulated feature-wise by scaling/shifting vectors generated from a
-sinusoidal encoding of the node's degree. Each node goes through the
-debiasing net of its own degree group (low or high), and that context is
-added into the aggregation pre-activation with weight ``eps``. The other
-group's net enters only through the cross-group training constraint, which
-builds the opposite context on training nodes from the layer's trace.
+sinusoidal encoding of the node's degree, all in the one op
+:func:`degfair.autodiff.film_debias`. The scaling/shifting vectors exist
+once per unique degree value. Each node goes through the debiasing net of
+its own degree group (low or high), and that context is added into the
+aggregation pre-activation with weight ``eps``. The other group's net
+enters only through the cross-group training constraint, which builds the
+opposite context on training nodes from the layer's trace.
 """
 
 from __future__ import annotations
@@ -25,12 +27,11 @@ from degfair.autodiff import (
     add_scaled,
     affine,
     dropout,
-    film_modulate,
+    film_debias,
     gather_rows,
     leaky_relu,
     matmul,
     relu,
-    routed_affine,
     scalar_mul,
     scale_rows,
     segment_softmax,
@@ -48,13 +49,9 @@ __all__ = [
     "LayerTraceEntry",
     "ForwardTrace",
     "GraphOperators",
-    "degree_encoding",
     "degree_encoding_matrix",
     "context_operator",
     "input_features",
-    "context_embedding",
-    "film_factors",
-    "debias_context",
     "build_operators",
     "base_aggregate",
     "fair_layer_forward",
@@ -65,13 +62,16 @@ __all__ = [
 
 @dataclass
 class Linear:
-    """One fully connected layer: x @ w + b."""
+    """One fully connected layer: x @ w + b. Unpacks as ``(w, b)``."""
 
     w: Tensor
     b: Tensor
 
     def __call__(self, x: Tensor) -> Tensor:
         return affine(x, self.w, self.b)
+
+    def __iter__(self):
+        return iter((self.w, self.b))
 
 
 @dataclass
@@ -121,13 +121,6 @@ class LayerParams:
             yield f"{net}.w", lin.w
             yield f"{net}.b", lin.b
 
-    def omega_weights(self) -> list[Tensor]:
-        """Aggregator weight matrices, excluding the output bias."""
-        return [
-            t for name, t in self.named_tensors()
-            if name.startswith("omega.") and name != "omega.b"
-        ]
-
 
 @dataclass
 class ModelParams:
@@ -164,24 +157,33 @@ class ModelParams:
 class LayerTraceEntry:
     """Per-layer activations plus everything the training constraints need.
 
-    ``ctx`` is the context embedding and ``scale`` / ``shift`` the
-    per-node modulation rows; ``debias`` holds the layer's (low, high)
-    debiasing nets, indexed by group id. The forward ran each node through
-    its own group's net only; the cross-group constraint rebuilds the
-    context a node did *not* use from these, on the rows it penalizes.
+    ``ctx`` is the context embedding and ``scale_u`` / ``shift_u`` the
+    modulation rows, one per unique degree value (the trace's
+    ``degree_inverse`` maps nodes to them); ``debias`` holds the layer's
+    (low, high) debiasing nets, indexed by group id. The forward ran each
+    node through its own group's net only; the cross-group constraint
+    rebuilds the context a node did *not* use from these, on the rows it
+    penalizes.
     """
 
     h: Tensor
     ctx: Tensor
-    scale: Tensor
-    shift: Tensor
+    scale_u: Tensor
+    shift_u: Tensor
     debias: tuple[Linear, Linear]
 
 
 @dataclass
 class ForwardTrace:
+    """One forward pass: every layer's trace entry and the output probabilities.
+
+    ``degree_inverse`` is the operators' node-to-unique-degree map, held by
+    reference; it indexes every entry's ``scale_u`` / ``shift_u`` rows.
+    """
+
     layers: list[LayerTraceEntry]
     probs: Tensor
+    degree_inverse: np.ndarray
 
 
 # ----------------------------------------------------------- degree encoding
@@ -205,15 +207,6 @@ def degree_encoding_matrix(degrees: np.ndarray, width: int) -> np.ndarray:
     enc[:, 0::2] = np.sin(angle)
     enc[:, 1::2] = np.cos(angle)
     return enc
-
-
-def degree_encoding(degree: float, width: int) -> np.ndarray:
-    """Encoding of a single degree value (1-D, length ``width``)."""
-    return degree_encoding_matrix(np.array([float(degree)]), width)[0]
-
-
-def _even(width: int) -> int:
-    return width if width % 2 == 0 else width + 1
 
 
 # --------------------------------------------------------- graph operators
@@ -342,34 +335,6 @@ def input_features(g: Graph, feature_norm: str = "none") -> Tensor:
     raise ValueError(f'feature_norm must be "none" or "l2", got {feature_norm!r}')
 
 
-def context_embedding(h_prev: Tensor, ctx_op: FixedSparse) -> Tensor:
-    """Mean of the previous layer's rows over each node's local context."""
-    return sparse_matmul(ctx_op, h_prev)
-
-
-def film_factors(encoding: Tensor, scale_net: Linear, shift_net: Linear):
-    """Generate feature-wise scale and shift rows from degree encodings."""
-    return scale_net(encoding), shift_net(encoding)
-
-
-def debias_context(
-    ctx_emb: Tensor,
-    scale: Tensor,
-    shift: Tensor,
-    nets: tuple[Linear, ...],
-    route: np.ndarray,
-) -> Tensor:
-    """(scale + 1) * nets[route[i]](context[i]) + shift, row by row.
-
-    Each row goes through the net its route names, and only that net; a
-    row routed to -1 gets zero before modulation, so it holds ``shift``.
-    Scaling is centered on one: zero scale/shift leaves the net output
-    untouched.
-    """
-    raw = routed_affine(ctx_emb, route, [(net.w, net.b) for net in nets])
-    return film_modulate(raw, scale, shift)
-
-
 def _gat_head(
     h_prev: Tensor, head: GatHead, offsets: np.ndarray, members: np.ndarray
 ) -> Tensor:
@@ -445,29 +410,29 @@ def fair_layer_forward(
 ) -> LayerTraceEntry:
     """One debiased layer: sigma(Aggr(h) + eps * own-group debiasing context).
 
-    Each node's context goes through its own group's debiasing net only,
-    so neither net runs on the other group's rows. The trace keeps the
-    context embedding, the modulation rows and both nets for the training
-    constraints. With eps == 0 the own-group context is neither computed
-    nor added, so the output is bit-identical to the plain base aggregation.
+    The context is ``film_debias`` of the context embedding: each node's
+    row goes through its own group's debiasing net only, modulated by the
+    scale/shift rows of its degree, which the FiLM nets generate once per
+    unique degree from encodings of width ``film_scale.w.shape[0]``. The
+    trace keeps the context embedding, those unique-degree rows and both
+    nets for the training constraints. With eps == 0 the own-group context
+    is neither computed nor added, so the output is bit-identical to the
+    plain base aggregation.
     """
-    out_width = layer.film_scale.b.shape[1]
-    ctx = context_embedding(h_prev, ops.ctx_mean)
-    enc = ops.encoding(_even(out_width))
-    scale_u, shift_u = film_factors(enc, layer.film_scale, layer.film_shift)
-    scale = gather_rows(scale_u, ops.degree_inverse)
-    shift = gather_rows(shift_u, ops.degree_inverse)
+    ctx = sparse_matmul(ops.ctx_mean, h_prev)
+    enc = ops.encoding(layer.film_scale.w.shape[0])
+    scale_u, shift_u = layer.film_scale(enc), layer.film_shift(enc)
     debias = (layer.debias_low, layer.debias_high)
 
     pre = base_aggregate(h_prev, ops, layer.omega, kind)
     if eps != 0.0:
-        own = debias_context(ctx, scale, shift, debias, ops.group)
+        own = film_debias(ctx, ops.group, debias, scale_u, shift_u, ops.degree_inverse)
         pre = add_scaled(pre, own, eps)
     return LayerTraceEntry(
         h=_activate(pre, activation),
         ctx=ctx,
-        scale=scale,
-        shift=shift,
+        scale_u=scale_u,
+        shift_u=shift_u,
         debias=debias,
     )
 
@@ -506,7 +471,9 @@ def model_forward(
         h = entry.h
         if i != last:
             h = dropout(h, dropout_rate, train_mode, rng)
-    return ForwardTrace(layers=entries, probs=entries[-1].h)
+    return ForwardTrace(
+        layers=entries, probs=entries[-1].h, degree_inverse=ops.degree_inverse
+    )
 
 
 def base_forward(

@@ -24,6 +24,7 @@ from degfair.autodiff import (
     Tensor,
     add,
     clamp_min,
+    film_debias,
     gather_rows,
     log,
     masked_sq_norm,
@@ -34,7 +35,7 @@ from degfair.autodiff import (
     sub,
     sum_all,
 )
-from degfair.layers import ForwardTrace, ModelParams, debias_context
+from degfair.layers import ForwardTrace, ModelParams
 
 __all__ = [
     "LossBreakdown",
@@ -98,32 +99,39 @@ def debias_constraint(trace: ForwardTrace, low_tr: np.ndarray, high_tr: np.ndarr
 
     Low-degree training nodes penalize the high-group context they do not
     use, and vice versa; both should be near zero for the opposite group.
-    The opposite contexts are built here from each layer's trace, on the
-    training rows of the two groups only.
+    The opposite contexts are built here by ``film_debias`` from each
+    layer's trace, routed to the other group's net on the training rows of
+    the two groups and to -1 (masked out) everywhere else.
     """
     low_tr = np.asarray(low_tr, dtype=np.int64)
     high_tr = np.asarray(high_tr, dtype=np.int64)
-    opposite = np.full(trace.layers[0].ctx.shape[0], -1, dtype=np.int64)
+    opposite = np.full(trace.degree_inverse.shape[0], -1, dtype=np.int64)
     opposite[low_tr] = 1
     opposite[high_tr] = 0
     total = Tensor([[0.0]])
     for entry in trace.layers:
-        unused = debias_context(entry.ctx, entry.scale, entry.shift, entry.debias, opposite)
+        unused = film_debias(
+            entry.ctx, opposite, entry.debias, entry.scale_u, entry.shift_u,
+            trace.degree_inverse,
+        )
         total = add(total, masked_sq_norm(unused, opposite >= 0))
     return total
 
 
 def film_constraint(trace: ForwardTrace, train_idx: np.ndarray) -> Tensor:
-    """Squared norms of the scaling and shifting rows over training nodes."""
+    """Squared norms of the scaling and shifting rows over training nodes.
+
+    A training node's rows are those of its degree, so the sum runs over
+    the unique-degree rows, each weighted by its count of training nodes:
+    sum_d count_train(d) * (|scale_u[d]|^2 + |shift_u[d]|^2).
+    """
     train_idx = np.asarray(train_idx, dtype=np.int64)
+    unique = trace.layers[0].scale_u.shape[0]
+    counts = np.bincount(trace.degree_inverse[train_idx], minlength=unique)
     total = Tensor([[0.0]])
-    if train_idx.size == 0:
-        return total
-    mask = np.zeros(trace.layers[0].scale.shape[0])
-    mask[train_idx] = 1.0
     for entry in trace.layers:
-        total = add(total, masked_sq_norm(entry.scale, mask))
-        total = add(total, masked_sq_norm(entry.shift, mask))
+        total = add(total, masked_sq_norm(entry.scale_u, counts))
+        total = add(total, masked_sq_norm(entry.shift_u, counts))
     return total
 
 

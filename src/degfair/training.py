@@ -28,7 +28,6 @@ from degfair.layers import (
     LayerParams,
     Linear,
     ModelParams,
-    _even,
     base_forward,
     build_operators,
     input_features,
@@ -166,6 +165,10 @@ def _zero_bias(width: int) -> Tensor:
 
 def _linear(rng: np.random.Generator, fan_in: int, fan_out: int) -> Linear:
     return Linear(w=_glorot(rng, fan_in, fan_out), b=_zero_bias(fan_out))
+
+
+def _even(width: int) -> int:
+    return width if width % 2 == 0 else width + 1
 
 
 def _zero_linear(fan_in: int, fan_out: int) -> Linear:

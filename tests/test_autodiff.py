@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degfair import autodiff as ad
 from degfair.autodiff import Tape, TapeError, Tensor
@@ -64,7 +66,7 @@ def test_clamp_min_propagates_nan():
     assert x.grad[0, 1:].tolist() == [0.0, 0.0, 4.0]
 
 
-def test_routed_affine_values_and_rows():
+def test_film_debias_values_and_rows():
     def param(a):
         return Tensor(a, requires_grad=True)
 
@@ -72,8 +74,11 @@ def test_routed_affine_values_and_rows():
     nets = [(param(np.eye(2)), param([[1.0, 1.0]])),
             (param(2 * np.eye(2)), param([[0.0, 0.0]])),
             (param(np.ones((2, 2))), param([[9.0, 9.0]]))]
+    # Zero modulation: the routed net outputs alone, a -1 row is zero.
+    scale, shift = param(np.zeros((1, 2))), param(np.zeros((1, 2)))
+    inv = np.zeros(3, dtype=np.int64)
     with Tape() as tape:
-        out = ad.routed_affine(x, np.array([1, -1, 0]), nets)
+        out = ad.film_debias(x, np.array([1, -1, 0]), nets, scale, shift, inv)
         loss = ad.sum_all(out)
     assert out.data.tolist() == [[2.0, 4.0], [0.0, 0.0], [6.0, 7.0]]
     tape.backward(loss)
@@ -82,10 +87,87 @@ def test_routed_affine_values_and_rows():
     assert nets[1][1].grad.tolist() == [[1.0, 1.0]]
     assert np.array_equal(nets[2][0].grad, np.zeros((2, 2)))  # no rows routed to it
     assert np.array_equal(nets[2][1].grad, np.zeros((1, 2)))
+    assert scale.grad.tolist() == [[8.0, 11.0]]  # sum of the net outputs
+    assert shift.grad.tolist() == [[3.0, 3.0]]  # one per row, the -1 row too
+
+    # Two unique degrees: rows 0 and 2 share row 0 of scale/shift.
+    x.grad = None
+    scale, shift = param([[1.0, 0.0], [2.0, 2.0]]), param([[0.5, -0.5], [1.0, 1.0]])
+    inv = np.array([0, 1, 0])
+    with Tape() as tape:
+        out = ad.film_debias(x, np.array([1, -1, 0]), nets, scale, shift, inv)
+        loss = ad.sum_all(out)
+    assert out.data.tolist() == [[4.5, 3.5], [1.0, 1.0], [12.5, 6.5]]
+    tape.backward(loss)
+    assert x.grad.tolist() == [[4.0, 2.0], [0.0, 0.0], [2.0, 1.0]]
+    assert scale.grad.tolist() == [[8.0, 11.0], [0.0, 0.0]]
+    assert shift.grad.tolist() == [[2.0, 2.0], [1.0, 1.0]]
+
+    for route, inv in (([0, 3, 0], [0, 0, 0]), ([0, 1], [0, 0]),
+                       ([0, 1, 0], [0, 2, 0]), ([0, 1, 0], [0, -1, 0])):
+        with pytest.raises(ValueError):
+            ad.film_debias(x, np.array(route), nets, scale, shift, np.array(inv))
     with pytest.raises(ValueError):
-        ad.routed_affine(x, np.array([0, 3, 0]), nets)
-    with pytest.raises(ValueError):
-        ad.routed_affine(x, np.array([0, 1]), nets)
+        ad.film_debias(x, np.zeros(3, dtype=int), nets, scale, param(np.zeros((2, 3))),
+                       np.zeros(3, dtype=int))
+
+
+def film_debias_oracle(x, route, nets, scale_u, shift_u, inv):
+    """Row by row: (scale_u[d] + 1) * (x[i] @ w + b) + shift_u[d]."""
+    out = np.zeros((x.shape[0], scale_u.shape[1]))
+    for i in range(x.shape[0]):
+        d = inv[i]
+        raw = 0.0
+        if route[i] >= 0:
+            w, b = nets[route[i]]
+            raw = x[i] @ w + b[0]
+        out[i] = (scale_u[d] + 1.0) * raw + shift_u[d]
+    return out
+
+
+@st.composite
+def film_debias_cases(draw):
+    n = draw(st.integers(0, 7))
+    d_in, width = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    num_nets = draw(st.integers(1, 3))
+    unique = draw(st.integers(1, 4))
+    # Routes may leave a net without rows or put every row at -1; degree
+    # rows may repeat or all be one.
+    route = draw(st.lists(st.integers(-1, num_nets - 1), min_size=n, max_size=n))
+    inv = draw(st.lists(st.integers(0, unique - 1), min_size=n, max_size=n))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return n, d_in, width, num_nets, unique, np.array(route, dtype=np.int64), \
+        np.array(inv, dtype=np.int64), seed
+
+
+@settings(max_examples=60, deadline=None)
+@given(film_debias_cases())
+def test_film_debias_property_matches_dense_oracle_and_fd(case):
+    n, d_in, width, num_nets, unique, route, inv, seed = case
+    rng = np.random.default_rng(seed)
+    x = tensor(rng, n, d_in) if n else Tensor(np.zeros((0, d_in)), requires_grad=True)
+    nets = [(tensor(rng, d_in, width), tensor(rng, 1, width)) for _ in range(num_nets)]
+    scale_u, shift_u = tensor(rng, unique, width), tensor(rng, unique, width)
+    cot = Tensor(rng.standard_normal((n, width)))
+
+    out = ad.film_debias(x, route, nets, scale_u, shift_u, inv)
+    expected = film_debias_oracle(
+        x.data, route, [(w.data, b.data) for w, b in nets], scale_u.data,
+        shift_u.data, inv,
+    )
+    assert out.shape == (n, width)
+    assert np.allclose(out.data, expected, rtol=1e-12, atol=1e-12)
+    assert np.array_equal(out.data[route == -1], shift_u.data[inv[route == -1]])
+
+    def program():
+        return ad.sum_all(ad.mul(ad.film_debias(x, route, nets, scale_u, shift_u, inv), cot))
+
+    params = [scale_u, shift_u] + [t for net in nets for t in net] + ([x] if n else [])
+    assert ad.fd_check(program, params, rng=rng) < 1e-6
+    # Unique-degree rows no node uses get a zero adjoint.
+    unused = np.setdiff1d(np.arange(unique), inv)
+    assert np.array_equal(scale_u.grad[unused], np.zeros((unused.size, width)))
+    assert np.array_equal(shift_u.grad[unused], np.zeros((unused.size, width)))
 
 
 # ----------------------------------------------------------------- backward
@@ -233,9 +315,12 @@ def op_programs(rng):
     mean_cot = Tensor(rng.standard_normal((1, d)))
     bias_k = tensor(rng, 1, k)
     # Rows 0-2 go to net 0, net 1 and nowhere; net 2 gets no rows at all.
+    # Rows 0 and 3 share a degree row; degree row 3 is used by no row.
     route = np.concatenate([[0, 1, -1], rng.integers(-1, 2, size=n)])
+    inv = np.concatenate([[0, 1, 2, 0], rng.integers(0, 3, size=n - 1)])
     routed_x = tensor(rng, n + 3, d)
     routed_nets = [(tensor(rng, d, k), tensor(rng, 1, k)) for _ in range(3)]
+    scale_u, shift_u = tensor(rng, 4, k), tensor(rng, 4, k)
     routed_cot = Tensor(rng.standard_normal((n + 3, k)))
 
     def through(out, co):
@@ -268,12 +353,12 @@ def op_programs(rng):
                                              if not bias_k.requires_grad else bias_k),
                                    cot_k), [a, b, bias_k]),
         "add_scaled": (lambda: through(ad.add_scaled(a, c, -0.7), cot), [a, c]),
-        "routed_affine": (
-            lambda: through(ad.routed_affine(routed_x, route, routed_nets), routed_cot),
-            [routed_x] + [t for net in routed_nets for t in net],
-        ),
-        "film_modulate": (
-            lambda: through(ad.film_modulate(a, c, pos), cot), [a, c, pos],
+        "film_debias": (
+            lambda: through(
+                ad.film_debias(routed_x, route, routed_nets, scale_u, shift_u, inv),
+                routed_cot,
+            ),
+            [routed_x, scale_u, shift_u] + [t for net in routed_nets for t in net],
         ),
         "dropout": (
             lambda: through(

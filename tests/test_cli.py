@@ -194,6 +194,9 @@ def test_audit_malformed_prediction_exits_3(tmp_path, capsys):
     code = main(["audit", "--preds", str(preds), "--edges", str(edges),
                  "--labels", str(labels)])
     assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and f"{preds}:2:" in err
+    assert "Traceback" not in err
 
 
 def test_audit_malformed_edge_line_exits_3(tmp_path, capsys):

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from degfair.autodiff import Tape, Tensor
+from degfair import layers
+from degfair.autodiff import Tape, Tensor, film_debias, sparse_matmul
 from degfair.graphs import build_graph, partition_contrast, synth_generate
 from degfair.layers import (
     GatHead,
@@ -12,13 +13,9 @@ from degfair.layers import (
     base_aggregate,
     base_forward,
     build_operators,
-    context_embedding,
     context_operator,
-    debias_context,
-    degree_encoding,
     degree_encoding_matrix,
     fair_layer_forward,
-    film_factors,
     model_forward,
 )
 from degfair.training import TrainConfig, init_params
@@ -50,6 +47,11 @@ def lin(w, b=None):
 
 
 # ----------------------------------------------------------- degree encoding
+
+
+def degree_encoding(degree, width):
+    """Encoding of a single degree value (1-D, length ``width``)."""
+    return degree_encoding_matrix(np.array([float(degree)]), width)[0]
 
 
 def test_encoding_zero_degree():
@@ -97,7 +99,7 @@ def test_context_identical_rows():
 
     op = context_operator(3, *local_contexts(g, 1))
     h = Tensor(np.tile([2.0, -1.0], (3, 1)))
-    c = context_embedding(h, op)
+    c = sparse_matmul(op, h)
     assert np.allclose(c.data, np.tile([2.0, -1.0], (3, 1)))
 
 
@@ -107,7 +109,7 @@ def test_context_isolated_node():
 
     op = context_operator(3, *local_contexts(g, 1))
     h = Tensor(np.array([[1.0, 0.0], [0.0, 1.0], [5.0, 5.0]]))
-    c = context_embedding(h, op)
+    c = sparse_matmul(op, h)
     assert np.allclose(c.data[2], [5.0, 5.0])
 
 
@@ -117,32 +119,32 @@ def test_context_path_mean():
 
     op = context_operator(3, *local_contexts(g, 1))
     e = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    c = context_embedding(Tensor(e), op)
+    c = sparse_matmul(op, Tensor(e))
     assert np.allclose(c.data[1], (e[0] + e[1] + e[2]) / 3.0)
 
 
 # -------------------------------------------------------------- film factors
+# The FiLM nets are plain Linear maps of the degree encodings.
 
 
 def test_film_zero_params():
     enc = Tensor(np.ones((3, 4)))
-    gamma, beta = film_factors(enc, lin(np.zeros((4, 2))), lin(np.zeros((4, 2))))
+    gamma, beta = lin(np.zeros((4, 2)))(enc), lin(np.zeros((4, 2)))(enc)
     assert np.allclose(gamma.data, 0.0)
     assert np.allclose(beta.data, 0.0)
 
 
 def test_film_identity_map():
     enc = Tensor(np.array([[0.0, 1.0, 0.0, 1.0]]))
-    gamma, _ = film_factors(enc, lin(np.eye(4)), lin(np.zeros((4, 4))))
+    gamma = lin(np.eye(4))(enc)
     assert np.allclose(gamma.data, [[0.0, 1.0, 0.0, 1.0]])
 
 
 def test_film_equal_degrees_equal_rows():
     enc_rows = degree_encoding_matrix(np.array([3.0, 7.0, 3.0]), 4)
     rng = np.random.default_rng(0)
-    gamma, beta = film_factors(
-        Tensor(enc_rows), lin(rng.standard_normal((4, 2))), lin(rng.standard_normal((4, 2)))
-    )
+    scale_net, shift_net = lin(rng.standard_normal((4, 2))), lin(rng.standard_normal((4, 2)))
+    gamma, beta = scale_net(Tensor(enc_rows)), shift_net(Tensor(enc_rows))
     assert np.array_equal(gamma.data[0], gamma.data[2])
     assert np.array_equal(beta.data[0], beta.data[2])
 
@@ -152,17 +154,17 @@ def test_film_equal_degrees_equal_rows():
 
 def test_debias_reduces_to_net_output():
     c = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    zeros = Tensor(np.zeros((2, 2)))
+    zeros = Tensor(np.zeros((1, 2)))
     net = lin([[1.0, 0.0], [0.0, 2.0]])
-    d = debias_context(c, zeros, zeros, (net,), np.zeros(2, dtype=int))
+    d = film_debias(c, np.zeros(2, dtype=int), (net,), zeros, zeros, np.zeros(2, dtype=int))
     assert np.allclose(d.data, [[1.0, 4.0], [3.0, 8.0]])
 
 
 def test_debias_zero_net_gives_shift():
     c = Tensor(np.ones((2, 2)))
     beta = Tensor(np.array([[0.5, -0.5], [1.0, 2.0]]))
-    d = debias_context(c, Tensor(np.zeros((2, 2))), beta, (lin(np.zeros((2, 2))),),
-                       np.zeros(2, dtype=int))
+    d = film_debias(c, np.zeros(2, dtype=int), (lin(np.zeros((2, 2))),),
+                    Tensor(np.zeros((2, 2))), beta, np.array([0, 1]))
     assert np.allclose(d.data, beta.data)
 
 
@@ -170,7 +172,8 @@ def test_debias_unit_scale_doubles():
     c = Tensor(np.array([[1.0, 2.0]]))
     ones = Tensor(np.ones((1, 2)))
     net = lin(np.eye(2))
-    d = debias_context(c, ones, Tensor(np.zeros((1, 2))), (net,), np.zeros(1, dtype=int))
+    d = film_debias(c, np.zeros(1, dtype=int), (net,), ones, Tensor(np.zeros((1, 2))),
+                    np.zeros(1, dtype=int))
     assert np.allclose(d.data, [[2.0, 4.0]])
 
 
@@ -260,9 +263,16 @@ def path3_layer(eps, w_low=None, w_high=None):
     return g, ops, layer
 
 
-def test_fair_layer_eps_zero_is_plain_base():
+def test_fair_layer_eps_zero_is_plain_base(monkeypatch):
     g, ops, layer = path3_layer(eps=0.0, w_low=np.eye(2), w_high=np.eye(2))
     h = Tensor(g.features)
+
+    def must_not_run(*args):
+        raise AssertionError("film_debias ran with eps == 0")
+
+    # With eps == 0 the debiasing op does not run at all, so nothing of it
+    # can reach the output bits.
+    monkeypatch.setattr(layers, "film_debias", must_not_run)
     entry = fair_layer_forward(h, ops, layer, "gcn", eps=0.0, activation="relu")
     base = base_aggregate(h, ops, layer.omega, "gcn")
     assert np.array_equal(entry.h.data, np.maximum(base.data, 0.0))
@@ -341,7 +351,7 @@ def test_model_forward_deterministic():
     assert np.array_equal(a.probs.data, b.probs.data)
     for ea, eb in zip(a.layers, b.layers):
         assert np.array_equal(ea.ctx.data, eb.ctx.data)
-        assert np.array_equal(ea.scale.data, eb.scale.data)
+        assert np.array_equal(ea.scale_u.data, eb.scale_u.data)
 
 
 def test_mixed_routing_matches_dense_oracle():
@@ -383,8 +393,12 @@ def test_mixed_routing_matches_dense_oracle():
         assert np.allclose(entry.h.data, h, atol=1e-12)
         assert np.allclose(entry.ctx.data, ctx_mean @ (g.features if i == 0 else
                                                        trace.layers[i - 1].h.data))
-        assert np.allclose(entry.scale.data, scale, atol=1e-12)
-        assert np.allclose(entry.shift.data, shift, atol=1e-12)
+        # The trace holds one modulation row per unique degree; the
+        # degree map sends each node to its row.
+        assert entry.scale_u.shape[0] == np.unique(g.degrees).size
+        assert np.allclose(entry.scale_u.data[trace.degree_inverse], scale, atol=1e-12)
+        assert np.allclose(entry.shift_u.data[trace.degree_inverse], shift, atol=1e-12)
+    assert trace.degree_inverse is ops.degree_inverse
     assert np.allclose(trace.probs.data, h, atol=1e-12)
 
 

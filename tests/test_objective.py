@@ -6,7 +6,15 @@ import pytest
 
 from degfair import autodiff as ad
 from degfair.autodiff import Tape, Tensor
-from degfair.layers import ForwardTrace, LayerTraceEntry, Linear
+from degfair.graphs import partition_contrast, synth_generate
+from degfair.layers import (
+    ForwardTrace,
+    LayerTraceEntry,
+    Linear,
+    build_operators,
+    degree_encoding_matrix,
+    model_forward,
+)
 from degfair.objective import (
     classification_loss,
     debias_constraint,
@@ -24,12 +32,17 @@ def scalar(x):
 
 
 def make_trace(entries):
-    return ForwardTrace(layers=entries, probs=entries[-1].h)
+    # Node i has unique degree row i % (number of modulation rows): with one
+    # row per node that is the identity, with fewer rows degrees repeat.
+    n, unique = entries[0].ctx.shape[0], entries[0].scale_u.shape[0]
+    return ForwardTrace(layers=entries, probs=entries[-1].h,
+                        degree_inverse=np.arange(n) % unique)
 
 
 def entry(h=None, low=None, high=None, scale=None, shift=None, n=2, d=2):
     # The context embedding is the n x n identity and the nets have zero
-    # bias, so row i of ``low`` / ``high`` is node i's unmodulated context.
+    # bias, so row i of ``low`` / ``high`` is node i's unmodulated context;
+    # ``scale`` / ``shift`` hold one row per node.
     z = np.zeros((n, d))
 
     def net(w):
@@ -39,24 +52,25 @@ def entry(h=None, low=None, high=None, scale=None, shift=None, n=2, d=2):
     return LayerTraceEntry(
         h=Tensor(z if h is None else np.asarray(h, dtype=float)),
         ctx=Tensor(np.eye(n)),
-        scale=Tensor(z if scale is None else np.asarray(scale, dtype=float)),
-        shift=Tensor(z if shift is None else np.asarray(shift, dtype=float)),
+        scale_u=Tensor(z if scale is None else np.asarray(scale, dtype=float)),
+        shift_u=Tensor(z if shift is None else np.asarray(shift, dtype=float)),
         debias=(net(low), net(high)),
     )
 
 
-def random_entry(rng, h, n=6, d_in=4, d=3):
+def random_entry(rng, h, n=6, d_in=4, d=3, unique=4):
+    # ``unique`` < n modulation rows, so some nodes share a degree row.
     def rand(*shape):
         return Tensor(rng.standard_normal(shape), requires_grad=True)
 
     return LayerTraceEntry(
-        h=h, ctx=rand(n, d_in), scale=rand(n, d), shift=rand(n, d),
+        h=h, ctx=rand(n, d_in), scale_u=rand(unique, d), shift_u=rand(unique, d),
         debias=(Linear(rand(d_in, d), rand(1, d)), Linear(rand(d_in, d), rand(1, d))),
     )
 
 
 def entry_tensors(e):
-    return [e.ctx, e.scale, e.shift] + [t for net in e.debias for t in (net.w, net.b)]
+    return [e.ctx, e.scale_u, e.shift_u] + [t for net in e.debias for t in net]
 
 
 # ------------------------------------------------------- classification loss
@@ -164,14 +178,17 @@ def test_debias_constraint_crosses_groups():
 def test_debias_constraint_dense_oracle():
     # Nonzero context, modulation and biases; nodes 1 and 3 are not training
     # nodes, so they add nothing whatever their contexts are.
-    e = random_entry(np.random.default_rng(8), None, n=4, d_in=5, d=3)
+    # Nodes 0 and 2 share a degree row.
+    e = random_entry(np.random.default_rng(8), None, n=4, d_in=5, d=3, unique=2)
+    trace = make_trace([e, e])
     low_tr, high_tr = np.array([0]), np.array([2])
     low_net, high_net = e.debias
     expected = 0.0
     for v, net in ((0, high_net), (2, low_net)):
+        d = trace.degree_inverse[v]
         raw = e.ctx.data[v] @ net.w.data + net.b.data[0]
-        expected += np.sum(((e.scale.data[v] + 1.0) * raw + e.shift.data[v]) ** 2)
-    loss = debias_constraint(make_trace([e, e]), low_tr, high_tr)
+        expected += np.sum(((e.scale_u.data[d] + 1.0) * raw + e.shift_u.data[d]) ** 2)
+    loss = debias_constraint(trace, low_tr, high_tr)
     assert loss.item() == pytest.approx(2.0 * expected, rel=1e-12)
 
 
@@ -191,6 +208,47 @@ def test_film_constraint_hand_value():
 def test_film_constraint_empty_train():
     trace = make_trace([entry(scale=[[1.0, 1.0]], shift=[[1.0, 1.0]], n=1)])
     assert film_constraint(trace, np.array([], dtype=int)).item() == 0.0
+
+
+def test_film_constraint_dense_oracle():
+    # Per-node rows: every training node adds the squared norms of its own
+    # degree's rows, so a degree row shared by two training nodes counts twice
+    # and a non-training node's row counts not at all.
+    rng = np.random.default_rng(11)
+    entries = [random_entry(rng, None, n=7, unique=3) for _ in range(2)]
+    trace = make_trace(entries)
+    train_idx = np.array([0, 2, 3, 5])
+    expected = 0.0
+    for e in entries:
+        scale = e.scale_u.data[trace.degree_inverse]  # n x d, one row per node
+        shift = e.shift_u.data[trace.degree_inverse]
+        for v in train_idx:
+            expected += np.sum(scale[v] ** 2) + np.sum(shift[v] ** 2)
+    assert film_constraint(trace, train_idx).item() == pytest.approx(expected, rel=1e-12)
+
+
+def test_film_constraint_model_trace_dense_oracle():
+    # On a real forward, the trace's unique-degree rows against the FiLM
+    # nets applied to every node's own degree encoding.
+    g = synth_generate(30, 2, 0.9, 4, seed=4)
+    config = TrainConfig(base_gnn="gcn", hidden_dim=3, eps=0.5, dropout=0.0)
+    groups = partition_contrast(g.degrees.astype(float), config.resolve_threshold(g))
+    ops = build_operators(g, 1, groups, "gcn")
+    params = init_params(config, g.feature_dim, g.num_classes, np.random.default_rng(0))
+    rng = np.random.default_rng(5)
+    for layer in params.layers:
+        for net in (layer.film_scale, layer.film_shift):
+            net.w.data = rng.standard_normal(net.w.shape)
+            net.b.data = rng.standard_normal(net.b.shape)
+    trace = model_forward(g, params, ops, eps=config.eps)
+    train_idx = np.arange(0, g.num_nodes, 2)
+    expected = 0.0
+    for layer in params.layers:
+        enc = degree_encoding_matrix(g.degrees.astype(float), layer.film_scale.w.shape[0])
+        for net in (layer.film_scale, layer.film_shift):
+            rows = enc @ net.w.data + net.b.data
+            expected += np.sum(rows[train_idx] ** 2)
+    assert film_constraint(trace, train_idx).item() == pytest.approx(expected, rel=1e-12)
 
 
 # -------------------------------------------------------- weight regularizer
@@ -310,7 +368,7 @@ def test_each_term_passes_fd_in_isolation():
                                            np.arange(6)), [logits]),
         "l2": (lambda: fairness_loss(ad.softmax_rows(logits), low, high), [logits]),
         "l3": (lambda: debias_constraint(trace(), low, high), entry_tensors(e)),
-        "l4": (lambda: film_constraint(trace(), np.arange(6)), [e.scale, e.shift]),
+        "l4": (lambda: film_constraint(trace(), np.arange(6)), [e.scale_u, e.shift_u]),
     }
     for name, (program, params) in checks.items():
         err = ad.fd_check(program, params, rng=np.random.default_rng(1))
@@ -341,6 +399,49 @@ def test_combined_total_passes_fd():
     err = ad.fd_check(program, [logits] + entry_tensors(e),
                       rng=np.random.default_rng(2))
     assert err < 1e-6
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.7])
+def test_constraints_on_model_trace_pass_fd(eps):
+    # Both degree groups present, lam > 0: the constraint terms of a real
+    # forward send exact gradients into the debiasing and FiLM nets. With
+    # eps == 0 the forward skips film_debias, and only the constraints reach
+    # those nets.
+    g = synth_generate(14, 2, 0.9, 3, seed=6)
+    config = TrainConfig(base_gnn="sage", hidden_dim=3, eps=eps, dropout=0.0)
+    groups = partition_contrast(g.degrees.astype(float), config.resolve_threshold(g))
+    ops = build_operators(g, 1, groups, "sage")
+    assert 0 < np.count_nonzero(ops.group) < g.num_nodes
+    params = init_params(config, g.feature_dim, g.num_classes, np.random.default_rng(1))
+    rng = np.random.default_rng(2)
+    for layer in params.layers:
+        for net in (layer.film_scale, layer.film_shift):
+            net.w.data = 0.3 * rng.standard_normal(net.w.shape)
+            net.b.data = 0.3 * rng.standard_normal(net.b.shape)
+    train = np.arange(0, g.num_nodes, 2)
+    low_tr = np.intersect1d(groups.groups[0], train)
+    high_tr = np.intersect1d(groups.groups[1], train)
+
+    def program():
+        trace = model_forward(g, params, ops, eps=eps)
+        total, _ = total_loss(
+            classification_loss(trace.probs, g.labels, train),
+            fairness_loss(trace.probs, low_tr, high_tr),
+            debias_constraint(trace, low_tr, high_tr),
+            film_constraint(trace, train),
+            weight_regularizer(params),
+            mu=0.5,
+            lam=0.3,
+        )
+        return total
+
+    debias_params = [
+        t for name, t in params.named_tensors()
+        if "debias" in name or "film" in name
+    ]
+    err = ad.fd_check(program, debias_params, rng=np.random.default_rng(3), min_coords=8)
+    assert err < 1e-6
+    assert all(t.grad is not None and np.any(t.grad != 0.0) for t in debias_params)
 
 
 def test_large_mu_drives_group_means_together():

@@ -61,11 +61,20 @@ def test_init_deterministic():
         assert np.array_equal(ta.data, tb.data)
 
 
+def omega_weights(layer):
+    """Aggregator weight matrices of one layer, excluding the output bias."""
+    return [
+        t for name, t in layer.named_tensors()
+        if name.startswith("omega.") and name != "omega.b"
+    ]
+
+
 def test_init_glorot_bounds_and_zero_biases():
     cfg = quick_config(base_gnn="sage", hidden_dim=8)
     params = init_params(cfg, 6, 3, np.random.default_rng(1))
     for layer in params.layers:
-        for t in layer.omega_weights():
+        assert len(omega_weights(layer)) == 2  # w_self, w_neigh
+        for t in omega_weights(layer):
             fan_in, fan_out = t.shape
             bound = np.sqrt(6.0 / (fan_in + fan_out))
             assert np.all(np.abs(t.data) <= bound)
@@ -170,7 +179,8 @@ def test_debias_contexts_finite_every_epoch():
     cfg = quick_config(epochs=30, patience=30, seed=1)
     params, _ = train(g, split, cfg)
     from degfair.graphs import partition_contrast
-    from degfair.layers import build_operators, debias_context, input_features
+    from degfair.autodiff import film_debias
+    from degfair.layers import build_operators, input_features
 
     groups = partition_contrast(g.degrees.astype(float), cfg.resolve_threshold(g))
     ops = build_operators(g, 1, groups, "gcn")
@@ -179,7 +189,8 @@ def test_debias_contexts_finite_every_epoch():
     for entry in trace.layers:
         for group in (0, 1):  # each group's context, for every node
             route = np.full(g.num_nodes, group)
-            ctx = debias_context(entry.ctx, entry.scale, entry.shift, entry.debias, route)
+            ctx = film_debias(entry.ctx, route, entry.debias, entry.scale_u,
+                              entry.shift_u, trace.degree_inverse)
             assert np.all(np.isfinite(ctx.data))
 
 
