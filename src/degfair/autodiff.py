@@ -520,25 +520,21 @@ def film_debias(
 class FixedSparse:
     """A constant sparse matrix used as a linear operator on the tape.
 
-    The adjoint of ``y = S @ x`` is ``S.T @ g``; the transpose is converted
-    to CSR once at construction.
+    Holds one CSR copy, ``fwd``. The adjoint of ``y = S @ x`` is ``S.T @ g``,
+    and ``S.T`` is a CSC view of the same arrays, so no transpose is stored.
     """
 
     def __init__(self, mat):
         self.fwd = _sparse.csr_matrix(mat)
-        self.bwd = _sparse.csr_matrix(mat.T)
-
-    @property
-    def shape(self):
-        return self.fwd.shape
 
 
 def sparse_matmul(op: FixedSparse, x: Tensor) -> Tensor:
+    """``op.fwd @ x``; its backward multiplies by the view ``op.fwd.T``."""
     x = as_tensor(x)
-    if op.shape[1] != x.shape[0]:
-        raise ValueError(f"sparse_matmul shape mismatch: {op.shape} @ {x.shape}")
+    if op.fwd.shape[1] != x.shape[0]:
+        raise ValueError(f"sparse_matmul shape mismatch: {op.fwd.shape} @ {x.shape}")
     out = Tensor(op.fwd @ x.data)
-    return _record(out, [(x, lambda g: op.bwd @ g)])
+    return _record(out, [(x, lambda g: op.fwd.T @ g)])
 
 
 def dropout(x: Tensor, p: float, train: bool, rng: np.random.Generator) -> Tensor:

@@ -68,6 +68,16 @@ def _reject_unknown(mapping: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
 
 
+def _check_positive(value: int, name: str) -> None:
+    if value < 1:
+        raise ConfigError(f"{name} must be >= 1, got {value}")
+
+
+def _check_fraction(fraction: float, name: str) -> None:
+    if not 0.0 < fraction <= 0.5:
+        raise ConfigError(f"{name} must be in (0, 0.5], got {fraction}")
+
+
 def parse_run_config(path: str, preset_override: str | None = None) -> dict:
     """Parse and validate a JSON run-config file.
 
@@ -113,20 +123,22 @@ def parse_run_config(path: str, preset_override: str | None = None) -> dict:
         merged.update(train_section)
         train_section = merged
 
-    if "seed" in raw:
-        train_section.setdefault("seed", int(raw["seed"]))
-    try:
-        config = TrainConfig(**train_section)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: bad train settings: {exc}") from None
-
     eval_section = dict(raw.get("eval", {}))
     _reject_unknown(eval_section, _EVAL_KEYS, "eval")
-    eval_settings = {
-        "r_eval": int(eval_section.get("r_eval", config.r_eval)),
-        "fraction": float(eval_section.get("fraction", 0.2)),
-        "num_runs": int(eval_section.get("num_runs", 1)),
-    }
+    try:
+        if "seed" in raw:
+            train_section.setdefault("seed", int(raw["seed"]))
+        config = TrainConfig(**train_section)
+        eval_settings = {
+            "r_eval": int(eval_section.get("r_eval", config.r_eval)),
+            "fraction": float(eval_section.get("fraction", 0.2)),
+            "num_runs": int(eval_section.get("num_runs", 1)),
+        }
+        _check_positive(eval_settings["r_eval"], "eval.r_eval")
+        _check_fraction(eval_settings["fraction"], "eval.fraction")
+        _check_positive(eval_settings["num_runs"], "eval.num_runs")
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: bad settings: {exc}") from None
 
     output = raw.get("output", {})
     _reject_unknown(output, {"dir"}, "output")
@@ -193,6 +205,7 @@ def cmd_train(args) -> int:
     data, config = spec["data"], spec["config"]
     ev = spec["eval"]
     if args.runs is not None:
+        _check_positive(args.runs, "--runs")
         ev["num_runs"] = args.runs
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
@@ -227,6 +240,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _check_positive(args.r, "--r")
+    _check_fraction(args.fraction, "--fraction")
     params, config = load_model(args.model)
     g = load_graph(args.edges, args.features, args.labels)
     if g.feature_dim != params.layers[0].debias_low.w.shape[0]:
@@ -246,6 +261,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    _check_positive(args.r, "--r")
+    _check_fraction(args.fraction, "--fraction")
     if args.features:
         g = load_graph(args.edges, args.features, args.labels)
     else:
@@ -257,10 +274,12 @@ def cmd_audit(args) -> int:
         raise GraphDataError(
             f"{args.preds}: {preds.shape[0]} predictions for {g.num_nodes} nodes"
         )
+    if preds.min(initial=0) < 0:
+        raise GraphDataError(f"{args.preds}: negative prediction id {preds.min()}")
     degrees = generalized_degree(g, args.r)
     rep = build_report(
         preds, g.labels, np.arange(g.num_nodes), degrees, args.fraction,
-        r_eval=args.r, num_classes=max(g.num_classes, int(preds.max()) + 1),
+        r_eval=args.r, num_classes=max(g.num_classes, int(preds.max(initial=0)) + 1),
     )
     sys.stdout.write(format_report(rep))
     return EXIT_OK
@@ -284,6 +303,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_degree_stats(args) -> int:
+    _check_positive(args.r, "--r")
     if (args.labels is None) != (args.features is None):
         given, missing = (
             ("--features", "--labels") if args.labels is None else ("--labels", "--features")

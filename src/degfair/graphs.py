@@ -242,32 +242,28 @@ def save_graph_files(
         fh.write("".join(map("{}\n".format, g.labels.tolist())))
 
 
-def adjacency_matvec(
-    offsets: np.ndarray, neighbors: np.ndarray, x: np.ndarray
-) -> np.ndarray:
-    """One sparse CSR product A @ x for the (unweighted) adjacency.
-
-    Uses a cumulative-sum reduction so the per-row accumulation order is
-    fixed and the result is bit-deterministic.
-    """
-    if neighbors.size == 0:
-        return np.zeros(offsets.shape[0] - 1, dtype=np.float64)
-    csum = np.concatenate(([0.0], np.cumsum(x[neighbors], dtype=np.float64)))
-    return csum[offsets[1:]] - csum[offsets[:-1]]
+def _adjacency(g: Graph) -> sparse.csr_matrix:
+    """The boolean adjacency A as a CSR matrix over the graph's own arrays."""
+    n = g.num_nodes
+    return sparse.csr_matrix(
+        (np.ones(g.csr_neighbors.size, dtype=bool), g.csr_neighbors, g.csr_offsets),
+        shape=(n, n),
+    )
 
 
 def generalized_degree(g: Graph, r: int = 1) -> np.ndarray:
     """Number of length-r walks starting at each node, as fp64.
 
-    Computed as r successive sparse mat-vec products of the adjacency
-    against the all-ones vector. Exact while counts stay below 2**53;
-    beyond that fp64 rounds (far outside desk scale).
+    Computed as r successive sparse products ``x = A @ x`` of the boolean
+    adjacency against the all-ones vector. Exact while counts stay below
+    2**53; beyond that fp64 rounds (far outside desk scale).
     """
     if r < 1:
         raise ValueError(f"hop count r must be >= 1, got {r}")
+    adj = _adjacency(g)
     x = np.ones(g.num_nodes, dtype=np.float64)
     for _ in range(r):
-        x = adjacency_matvec(g.csr_offsets, g.csr_neighbors, x)
+        x = adj @ x
     return x
 
 
@@ -298,18 +294,13 @@ def local_contexts(g: Graph, r: int) -> tuple[np.ndarray, np.ndarray]:
 
     The contexts are the nonzero pattern of (A+I)^r: members of node v are
     ``members[offsets[v]:offsets[v+1]]``, sorted, and always include v. The
-    pattern is built by r-1 boolean sparse products, so time and memory
-    scale with the number of nonzeros each product builds, about
-    sum_v |N_r(v)| for the last one.
+    pattern is built by r-1 boolean sparse products of A+I, with A the same
+    adjacency :func:`generalized_degree` uses, so time and memory scale with
+    the nonzeros each product builds, about sum_v |N_r(v)| for the last one.
     """
     if r < 1:
         raise ValueError(f"radius must be >= 1, got {r}")
-    n = g.num_nodes
-    adj = sparse.csr_matrix(
-        (np.ones(g.csr_neighbors.size, dtype=bool), g.csr_neighbors, g.csr_offsets),
-        shape=(n, n),
-    )
-    step = adj + sparse.identity(n, dtype=bool, format="csr")
+    step = _adjacency(g) + sparse.identity(g.num_nodes, dtype=bool, format="csr")
     reach = step
     for _ in range(r - 1):
         reach = reach @ step  # boolean products OR-accumulate: no explicit zeros
@@ -366,7 +357,7 @@ def partition_top_bottom(
     degrees = np.asarray(degrees, dtype=np.float64)
     universe = _as_universe(node_universe, degrees)
     if universe.size < 2:
-        raise ValueError("top/bottom partition needs a universe of >= 2 nodes")
+        raise GraphDataError("top/bottom partition needs a universe of >= 2 nodes")
     order = universe[np.lexsort((universe, degrees[universe]))]
     k = int(np.floor(fraction * universe.size))
     g0 = np.sort(order[:k])

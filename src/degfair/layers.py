@@ -236,29 +236,17 @@ def _gcn_operator(g: Graph) -> FixedSparse:
     return FixedSparse(mat)
 
 
-def _neighbor_mean_operator(g: Graph) -> FixedSparse:
-    """Row-normalized adjacency without self-loops; zero rows if isolated."""
-    deg = np.diff(g.csr_offsets).astype(np.float64)
-    values = np.repeat(
-        np.divide(1.0, deg, out=np.zeros(deg.shape), where=deg > 0), g.degrees
-    )
-    mat = sparse.csr_matrix(
-        (values, g.csr_neighbors, g.csr_offsets), shape=(g.num_nodes,) * 2
-    )
-    return FixedSparse(mat)
-
-
 @dataclass
 class GraphOperators:
     """Constant per-graph structure shared by every layer and epoch.
 
-    Built once by :func:`build_operators`; holds the pooling/normalization
-    operators, the attention edge arrays (A+I pattern), each node's
-    debiasing group id (0 low, 1 high), and cached degree encodings per
-    unique degree value.
+    Built once by :func:`build_operators`; holds one copy of each sparse
+    operator (the r-hop context mean ``ctx_mean``, GCN's ``gcn_norm``, and
+    SAGE's ``nbr_mean``, the context mean over the one-hop lists), the
+    attention edge arrays (A+I pattern), each node's debiasing group id
+    (0 low, 1 high), and cached degree encodings per unique degree value.
     """
 
-    num_nodes: int
     ctx_mean: FixedSparse
     group: np.ndarray
     unique_degrees: np.ndarray
@@ -301,7 +289,6 @@ def build_operators(
     unique_degrees, degree_inverse = np.unique(deg1, return_inverse=True)
 
     ops = GraphOperators(
-        num_nodes=g.num_nodes,
         ctx_mean=context_operator(g.num_nodes, offsets, members),
         group=group,
         unique_degrees=unique_degrees,
@@ -310,7 +297,7 @@ def build_operators(
     if kind == "gcn":
         ops.gcn_norm = _gcn_operator(g)
     elif kind == "sage":
-        ops.nbr_mean = _neighbor_mean_operator(g)
+        ops.nbr_mean = context_operator(g.num_nodes, g.csr_offsets, g.csr_neighbors)
     elif kind == "gat":
         ops.att_offsets, ops.att_members = local_contexts(g, 1)
     else:

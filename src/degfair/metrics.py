@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from degfair.graphs import partition_top_bottom
+from degfair.graphs import GraphDataError, partition_top_bottom
 
 __all__ = [
     "FairnessReport",
@@ -119,7 +119,7 @@ def delta_deo(
     r1 = _recall_conditionals(preds, labels, g1, num_classes)
     valid = ~(np.isnan(r0) | np.isnan(r1))
     if not valid.any():
-        raise ValueError("no class has true members in both groups")
+        raise GraphDataError("no class has true members in both groups")
     return float(np.mean(np.abs(r0[valid] - r1[valid])))
 
 
@@ -145,6 +145,8 @@ def build_report(
         num_classes = int(labels.max()) + 1
     groups = partition_top_bottom(degrees_r, fraction, node_universe=test_idx)
     g0, g1 = groups.groups[0], groups.groups[1]
+    if g0.size == 0:
+        raise GraphDataError(f"fraction {fraction} of {test_idx.size} nodes: empty degree groups")
     per_class = np.column_stack(
         [
             _class_frequencies(preds, g0, num_classes),

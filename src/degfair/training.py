@@ -116,6 +116,8 @@ class TrainConfig:
             raise ValueError("dropout must be in [0, 1)")
         if self.num_layers < 1 or self.hidden_dim < 1 or self.gat_heads < 1:
             raise ValueError("num_layers, hidden_dim, and gat_heads must be >= 1")
+        if self.r_context < 1 or self.r_eval < 1:
+            raise ValueError("r_context and r_eval must be >= 1")
         if isinstance(self.threshold, str) and self.threshold != "mean":
             raise ValueError(f'threshold must be a number or "mean", got {self.threshold!r}')
 

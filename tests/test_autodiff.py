@@ -381,6 +381,26 @@ def test_every_op_adjoint_passes_fd():
     assert trials >= 100
 
 
+@pytest.mark.parametrize("width", [1, 3, 64])
+def test_sparse_matmul_adjoint_equals_stored_transpose(width):
+    from scipy import sparse
+
+    # Non-symmetric and rectangular, with an empty row (4) and column (2);
+    # dense enough that summation order would show in the low bits.
+    rng = np.random.default_rng(11)
+    dense = rng.standard_normal((30, 20)) * (rng.random((30, 20)) < 0.6)
+    dense[4, :] = 0.0
+    dense[:, 2] = 0.0
+    op = ad.FixedSparse(sparse.csr_matrix(dense))
+    x = Tensor(rng.standard_normal((20, width)), requires_grad=True)
+    cot = rng.standard_normal((30, width))
+    with Tape() as tape:
+        loss = ad.sum_all(ad.mul(ad.sparse_matmul(op, x), Tensor(cot)))
+    tape.backward(loss)
+    assert np.array_equal(x.grad, sparse.csr_matrix(dense.T) @ cot)
+    assert not x.grad[2].any()
+
+
 def test_fd_check_constant_function():
     w = Tensor(np.ones((2, 2)), requires_grad=True)
     err = ad.fd_check(lambda: Tensor([[3.0]]), [w])

@@ -340,3 +340,98 @@ def test_train_preset_flag_overrides(tmp_path, capsys):
     # explicit train keys still beat the preset; preset fills the rest
     assert loaded.hidden_dim == 4
     assert loaded.mu == 0.1
+
+
+# ------------------------------------------------- exit-code matrix, bad input
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A small dataset and one trained model, shared by the matrix below."""
+    root = tmp_path_factory.mktemp("trained")
+    data = write_dataset(root)
+    cfg = write_config(root, data)
+    assert main(["train", "--config", str(cfg), "--runs", "1"]) == 0
+    return {"data": data, "config": cfg, "model": root / "out" / "model_seed7.txt"}
+
+
+def _audit(tmp_path, edges, labels, preds, *flags):
+    files = {}
+    for name, text in (("edges", edges), ("labels", labels), ("preds", preds)):
+        files[name] = tmp_path / f"{name}.txt"
+        files[name].write_text(text)
+    return ["audit", "--edges", str(files["edges"]), "--labels", str(files["labels"]),
+            "--preds", str(files["preds"]), *flags]
+
+
+def _audit8(tmp_path, preds, *flags, labels="01010101"):
+    # audit_fixture's graph: fraction 0.25 selects G0={0,1}, G1={3,6}.
+    edges, label_path, pred_path = audit_fixture(tmp_path, preds)
+    label_path.write_text("\n".join(labels) + "\n")
+    return ["audit", "--edges", str(edges), "--labels", str(label_path),
+            "--preds", str(pred_path), "--fraction", "0.25", *flags]
+
+
+def _eval(trained, *flags):
+    data = trained["data"]
+    return ["eval", "--model", str(trained["model"]), "--edges", str(data / "edges.tsv"),
+            "--features", str(data / "features.csv"), "--labels", str(data / "labels.txt"),
+            *flags]
+
+
+def _train(tmp_path, trained, *flags, eval_keys=(), train_keys=()):
+    cfg = json.loads(trained["config"].read_text())
+    cfg["eval"].update(eval_keys)
+    cfg["train"].update(train_keys)
+    cfg["output"]["dir"] = str(tmp_path / "out")
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    return ["train", "--config", str(path), *flags]
+
+
+PATH3 = ("0\t1\n1\t2\n", "0\n1\n0\n", "0\n1\n0\n")
+GOOD8 = [0, 1, 0, 1, 0, 1, 0, 1]
+
+EXIT_MATRIX = [
+    # Data errors (exit 3): the files parse but no report can be built from them.
+    pytest.param(lambda t, m: _audit(t, "", "", ""), 3, id="audit-empty-files"),
+    pytest.param(lambda t, m: _audit(t, *PATH3, "--fraction", "0.2"), 3,
+                 id="audit-empty-degree-groups"),
+    pytest.param(lambda t, m: _audit8(t, [0, 1, 0, -1, 0, 1, 0, 1]), 3,
+                 id="audit-negative-prediction"),
+    pytest.param(lambda t, m: _audit8(t, GOOD8, labels="00010010"), 3,
+                 id="audit-no-class-in-both-groups"),
+    # Config errors (exit 2): flag or config values outside their range.
+    pytest.param(lambda t, m: _audit8(t, GOOD8, "--fraction", "0.9"), 2,
+                 id="audit-fraction-above-half"),
+    pytest.param(lambda t, m: _audit8(t, GOOD8, "--fraction", "0"), 2,
+                 id="audit-fraction-zero"),
+    pytest.param(lambda t, m: _audit8(t, GOOD8, "--r", "0"), 2, id="audit-r-zero"),
+    pytest.param(lambda t, m: _eval(m, "--fraction", "0.9"), 2, id="eval-fraction-above-half"),
+    pytest.param(lambda t, m: _eval(m, "--fraction", "-0.1"), 2, id="eval-fraction-negative"),
+    pytest.param(lambda t, m: _eval(m, "--r", "0"), 2, id="eval-r-zero"),
+    pytest.param(lambda t, m: ["degree-stats", "--edges", str(m["data"] / "edges.tsv"),
+                               "--r", "0"], 2, id="degree-stats-r-zero"),
+    pytest.param(lambda t, m: _train(t, m, eval_keys={"fraction": 0.9}), 2,
+                 id="train-eval-fraction"),
+    pytest.param(lambda t, m: _train(t, m, eval_keys={"r_eval": 0}), 2,
+                 id="train-eval-r-eval"),
+    pytest.param(lambda t, m: _train(t, m, eval_keys={"num_runs": 0}), 2,
+                 id="train-eval-num-runs"),
+    pytest.param(lambda t, m: _train(t, m, train_keys={"r_context": 0}), 2,
+                 id="train-r-context"),
+    pytest.param(lambda t, m: _train(t, m, "--runs", "0"), 2, id="train-runs-flag"),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("make_argv,code", EXIT_MATRIX)
+def test_bad_input_exits_with_documented_code(tmp_path, trained, capsys, make_argv, code):
+    argv = make_argv(tmp_path, trained)
+    capsys.readouterr()
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.err.startswith({2: "config error: ", 3: "data error: "}[code])
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()  # train rejects before any run

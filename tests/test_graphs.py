@@ -165,6 +165,14 @@ def test_degree_sum_is_twice_edges():
         assert generalized_degree(g, 1).sum() == 2 * g.num_edges
 
 
+@pytest.mark.parametrize("n", [0, 4])
+def test_degree_without_edges_is_zero(n):
+    g = make_graph([], n)
+    for r in range(1, 5):
+        got = generalized_degree(g, r)
+        assert got.dtype == np.float64 and np.array_equal(got, np.zeros(n))
+
+
 def test_degree_requires_positive_r():
     g = make_graph(PATH3, 3)
     with pytest.raises(ValueError):

@@ -211,6 +211,20 @@ def test_sage_zero_neighbor_weights():
     assert np.allclose(out.data, h.data @ w_self.data)
 
 
+def test_sage_neighbor_mean_matches_dense_oracle():
+    # Node 3 is isolated; node 1 has three neighbors, node 0 one.
+    edges = [(0, 1), (1, 2), (1, 4), (2, 4)]
+    g = make_graph(edges, 5)
+    ops = build_operators(g, 1, full_groups(g, 10.0), "sage")
+    adj = np.zeros((5, 5))
+    for u, v in edges:
+        adj[u, v] = adj[v, u] = 1.0
+    deg = adj.sum(axis=1)
+    expect = np.divide(adj, deg[:, None], out=np.zeros_like(adj), where=deg[:, None] > 0)
+    assert np.array_equal(ops.nbr_mean.fwd.toarray(), expect)
+    assert not expect[3].any() and np.diag(expect).sum() == 0.0
+
+
 def test_gat_uniform_attention_on_identical_embeddings():
     g = make_graph([(0, 1), (0, 2), (0, 3)], 4)
     ops = build_operators(g, 1, full_groups(g, 10.0), "gat")
