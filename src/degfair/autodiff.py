@@ -27,7 +27,6 @@ __all__ = [
     "sub",
     "mul",
     "scalar_mul",
-    "scale_rows",
     "relu",
     "leaky_relu",
     "softmax_rows",
@@ -38,12 +37,12 @@ __all__ = [
     "sq_norm",
     "masked_sq_norm",
     "gather_rows",
-    "segment_sum",
     "segment_softmax",
     "affine",
     "add_scaled",
     "film_debias",
     "sparse_matmul",
+    "edge_matmul",
     "dropout",
     "fd_check",
 ]
@@ -259,21 +258,6 @@ def scalar_mul(a: Tensor, c: float) -> Tensor:
     return _record(out, [(a, lambda g: g * c)])
 
 
-def scale_rows(x: Tensor, s: Tensor) -> Tensor:
-    """Multiply row i of ``x`` (n x d) by the scalar ``s[i]`` (n x 1)."""
-    x, s = as_tensor(x), as_tensor(s)
-    if s.shape != (x.shape[0], 1):
-        raise ValueError(f"scale_rows needs s of shape ({x.shape[0]}, 1), got {s.shape}")
-    out = Tensor(x.data * s.data)
-    return _record(
-        out,
-        [
-            (x, lambda g: g * s.data),
-            (s, lambda g: (g * x.data).sum(axis=1, keepdims=True)),
-        ],
-    )
-
-
 def relu(x: Tensor) -> Tensor:
     x = as_tensor(x)
     mask = x.data > 0
@@ -371,22 +355,6 @@ def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
     idx = np.asarray(idx, dtype=np.int64)
     out = Tensor(x.data[idx])
     return _record(out, [(x, lambda g: _scatter_rows(idx, g, x.shape[0]))])
-
-
-def segment_sum(x: Tensor, offsets: np.ndarray) -> Tensor:
-    """Sum contiguous row segments: segment v is rows offsets[v]:offsets[v+1].
-
-    Uses a cumulative-sum reduction, so accumulation order is fixed.
-    """
-    x = as_tensor(x)
-    offsets = np.asarray(offsets, dtype=np.int64)
-    if offsets[-1] != x.shape[0]:
-        raise ValueError("segment offsets do not cover the input rows")
-    nseg = offsets.shape[0] - 1
-    csum = np.vstack([np.zeros((1, x.shape[1])), np.cumsum(x.data, axis=0)])
-    out = Tensor(csum[offsets[1:]] - csum[offsets[:-1]])
-    seg_id = np.repeat(np.arange(nseg), np.diff(offsets))
-    return _record(out, [(x, lambda g: g[seg_id])])
 
 
 def segment_softmax(x: Tensor, offsets: np.ndarray) -> Tensor:
@@ -535,6 +503,32 @@ def sparse_matmul(op: FixedSparse, x: Tensor) -> Tensor:
         raise ValueError(f"sparse_matmul shape mismatch: {op.fwd.shape} @ {x.shape}")
     out = Tensor(op.fwd @ x.data)
     return _record(out, [(x, lambda g: op.fwd.T @ g)])
+
+
+def edge_matmul(values: Tensor, op: FixedSparse, x: Tensor) -> Tensor:
+    """``S @ x`` for the matrix S with ``op.fwd``'s pattern and learned entries.
+
+    ``values`` (nnz x 1) holds S's entries in ``op.fwd``'s CSR order; the
+    operator's own values are not read. The adjoint of ``x`` is ``S.T @ g``
+    (a CSC view, as in :func:`sparse_matmul`); the adjoint of entry (i, j)
+    is the dot product of ``g[i]`` and ``x[j]``.
+    """
+    values, x = as_tensor(values), as_tensor(x)
+    pattern = op.fwd
+    if values.shape != (pattern.nnz, 1):
+        raise ValueError(f"edge_matmul needs ({pattern.nnz}, 1) values, got {values.shape}")
+    if pattern.shape[1] != x.shape[0]:
+        raise ValueError(f"edge_matmul shape mismatch: {pattern.shape} @ {x.shape}")
+    mat = _sparse.csr_matrix(
+        (values.data[:, 0], pattern.indices, pattern.indptr), shape=pattern.shape
+    )
+    out = Tensor(mat @ x.data)
+
+    def vjp_values(g):
+        rows = np.repeat(np.arange(pattern.shape[0]), np.diff(pattern.indptr))
+        return np.einsum("ij,ij->i", g[rows], x.data[pattern.indices])[:, None]
+
+    return _record(out, [(values, vjp_values), (x, lambda g: mat.T @ g)])
 
 
 def dropout(x: Tensor, p: float, train: bool, rng: np.random.Generator) -> Tensor:

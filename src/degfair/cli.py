@@ -210,15 +210,20 @@ def cmd_train(args) -> int:
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     out_dir = args.out or spec["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
 
     g = load_graph(data["edges"], data["features"], data["labels"])
     degrees = generalized_degree(g, ev["r_eval"])
+    seeds = range(config.seed, config.seed + ev["num_runs"])
+    splits = [split_nodes(g.num_nodes, (0.6, 0.2, 0.2), seed=seed) for seed in seeds]
+    for split in splits:
+        # A report's validity depends on labels, split and groups only: check before training.
+        build_report(
+            g.labels, g.labels, split.test, degrees, ev["fraction"], num_classes=g.num_classes
+        )
+    os.makedirs(out_dir, exist_ok=True)
     reports = []
-    for run in range(ev["num_runs"]):
-        seed = config.seed + run
+    for seed, split in zip(seeds, splits):
         run_config = dataclasses.replace(config, seed=seed)
-        split = split_nodes(g.num_nodes, (0.6, 0.2, 0.2), seed=seed)
         params, _history = train(g, split, run_config)
         save_model(params, run_config, os.path.join(out_dir, f"model_seed{seed}.txt"))
         preds = predict(params, g, run_config)
@@ -254,7 +259,7 @@ def cmd_eval(args) -> int:
     preds = predict(params, g, config)
     rep = build_report(
         preds, g.labels, split.test, degrees, args.fraction,
-        r_eval=args.r, num_classes=g.num_classes,
+        r_eval=args.r, num_classes=max(g.num_classes, params.layers[-1].omega["b"].shape[1]),
     )
     sys.stdout.write(format_report(rep))
     return EXIT_OK

@@ -27,15 +27,14 @@ from degfair.autodiff import (
     add_scaled,
     affine,
     dropout,
+    edge_matmul,
     film_debias,
     gather_rows,
     leaky_relu,
     matmul,
     relu,
     scalar_mul,
-    scale_rows,
     segment_softmax,
-    segment_sum,
     softmax_rows,
     sparse_matmul,
 )
@@ -225,14 +224,13 @@ def context_operator(num_nodes: int, offsets: np.ndarray, members: np.ndarray) -
     return FixedSparse(mat)
 
 
-def _gcn_operator(g: Graph) -> FixedSparse:
-    """Symmetric normalization with self-loops: D^-1/2 (A+I) D^-1/2."""
-    offsets, members = local_contexts(g, 1)  # A+I pattern, rows sorted
+def _gcn_operator(num_nodes: int, offsets: np.ndarray, members: np.ndarray) -> FixedSparse:
+    """Symmetric normalization with self-loops, D^-1/2 (A+I) D^-1/2, on the A+I lists."""
     d = np.diff(offsets).astype(np.float64)  # degree + 1
     inv_sqrt = 1.0 / np.sqrt(d)
-    centers = np.repeat(np.arange(g.num_nodes), np.diff(offsets))
+    centers = np.repeat(np.arange(num_nodes), np.diff(offsets))
     values = inv_sqrt[centers] * inv_sqrt[members]
-    mat = sparse.csr_matrix((values, members, offsets), shape=(g.num_nodes,) * 2)
+    mat = sparse.csr_matrix((values, members, offsets), shape=(num_nodes,) * 2)
     return FixedSparse(mat)
 
 
@@ -240,21 +238,20 @@ def _gcn_operator(g: Graph) -> FixedSparse:
 class GraphOperators:
     """Constant per-graph structure shared by every layer and epoch.
 
-    Built once by :func:`build_operators`; holds one copy of each sparse
-    operator (the r-hop context mean ``ctx_mean``, GCN's ``gcn_norm``, and
-    SAGE's ``nbr_mean``, the context mean over the one-hop lists), the
-    attention edge arrays (A+I pattern), each node's debiasing group id
-    (0 low, 1 high), and cached degree encodings per unique degree value.
+    Built once by :func:`build_operators` for one aggregator ``kind``. Holds
+    one copy of each sparse operator: the r-hop context mean ``ctx_mean``
+    and the aggregation operator ``agg`` (GCN: D^-1/2 (A+I) D^-1/2; SAGE:
+    the one-hop neighbor mean; GAT: the A+I pattern, whose values the
+    attention coefficients replace), plus each node's debiasing group id
+    (0 low, 1 high) and cached degree encodings per unique degree value.
     """
 
+    kind: str
     ctx_mean: FixedSparse
+    agg: FixedSparse
     group: np.ndarray
     unique_degrees: np.ndarray
     degree_inverse: np.ndarray
-    gcn_norm: FixedSparse | None = None
-    nbr_mean: FixedSparse | None = None
-    att_offsets: np.ndarray | None = None
-    att_members: np.ndarray | None = None
     _encodings: dict = field(default_factory=dict)
 
     def encoding(self, width: int) -> Tensor:
@@ -273,36 +270,39 @@ def build_operators(
 
     ``groups`` must cover all nodes (a threshold contrast over the full
     node set): the aggregation needs a debiasing group for every node,
-    including validation/test nodes.
+    including validation/test nodes. The A+I lists are built once and
+    serve GCN's and GAT's ``agg`` and, when ``r_context`` is 1, the
+    context pattern; GAT's ``agg`` holds the A+I mean, the same operator
+    as ``ctx_mean`` at r = 1.
     """
+    if kind not in ("gcn", "sage", "gat"):
+        raise ValueError(f"unknown aggregator kind {kind!r}")
     low, high = groups.groups[0], groups.groups[1]
-    covered = np.zeros(g.num_nodes, dtype=bool)
-    covered[low] = True
-    covered[high] = True
-    if not covered.all() or low.size + high.size != g.num_nodes:
+    if not np.array_equal(np.sort(np.concatenate([low, high])), np.arange(g.num_nodes)):
         raise ValueError("debiasing groups must partition the full node set")
 
     group = np.ones(g.num_nodes, dtype=np.int64)
     group[low] = 0
-    offsets, members = local_contexts(g, r_context)
     deg1 = g.degrees.astype(np.float64)
     unique_degrees, degree_inverse = np.unique(deg1, return_inverse=True)
-
-    ops = GraphOperators(
-        ctx_mean=context_operator(g.num_nodes, offsets, members),
+    ctx = local_contexts(g, r_context)
+    ctx_mean = context_operator(g.num_nodes, *ctx)
+    if kind == "sage":
+        agg = context_operator(g.num_nodes, g.csr_offsets, g.csr_neighbors)
+    else:
+        closed = ctx if r_context == 1 else local_contexts(g, 1)  # the A+I lists
+        if kind == "gcn":
+            agg = _gcn_operator(g.num_nodes, *closed)
+        else:
+            agg = ctx_mean if r_context == 1 else context_operator(g.num_nodes, *closed)
+    return GraphOperators(
+        kind=kind,
+        ctx_mean=ctx_mean,
+        agg=agg,
         group=group,
         unique_degrees=unique_degrees,
         degree_inverse=degree_inverse,
     )
-    if kind == "gcn":
-        ops.gcn_norm = _gcn_operator(g)
-    elif kind == "sage":
-        ops.nbr_mean = context_operator(g.num_nodes, g.csr_offsets, g.csr_neighbors)
-    elif kind == "gat":
-        ops.att_offsets, ops.att_members = local_contexts(g, 1)
-    else:
-        raise ValueError(f"unknown aggregator kind {kind!r}")
-    return ops
 
 
 # -------------------------------------------------------------- layer pieces
@@ -323,16 +323,15 @@ def input_features(g: Graph, feature_norm: str = "none") -> Tensor:
 
 
 def _gat_head(
-    h_prev: Tensor, head: GatHead, offsets: np.ndarray, members: np.ndarray
+    h_prev: Tensor, head: GatHead, pattern: FixedSparse, centers: np.ndarray
 ) -> Tensor:
+    """One attention head: ``S @ z`` with S the softmax-normalized scores on A+I."""
     z = matmul(h_prev, head.w)
     s_self = matmul(z, head.att_self)
     s_nbr = matmul(z, head.att_nbr)
-    centers = np.repeat(np.arange(offsets.shape[0] - 1), np.diff(offsets))
-    logits = add(gather_rows(s_self, centers), gather_rows(s_nbr, members))
-    alpha = segment_softmax(leaky_relu(logits, 0.2), offsets)
-    weighted = scale_rows(gather_rows(z, members), alpha)
-    return segment_sum(weighted, offsets)
+    logits = add(gather_rows(s_self, centers), gather_rows(s_nbr, pattern.fwd.indices))
+    alpha = segment_softmax(leaky_relu(logits, 0.2), pattern.fwd.indptr)
+    return edge_matmul(alpha, pattern, z)
 
 
 def base_aggregate(
@@ -340,38 +339,35 @@ def base_aggregate(
 ) -> Tensor:
     """Pre-activation output of the plain base aggregator.
 
-    GCN: normalized-adjacency propagation of h @ w. GraphSAGE: separate
-    self and mean-neighbor transforms. GAT: attention over each node's
-    closed neighborhood per head, heads averaged. Each aggregator ends with
-    an output bias row; without one, a ReLU network is positively
-    homogeneous and argmax-blind to the per-node magnitude that carries
-    degree information.
+    Every backbone aggregates through the one operator ``ops.agg``, which
+    must have been built for ``kind``. GCN: normalized-adjacency
+    propagation of h @ w. GraphSAGE: separate self and mean-neighbor
+    transforms. GAT: per head, attention coefficients over each node's
+    closed neighborhood become the entries of ``ops.agg``'s pattern
+    (:func:`degfair.autodiff.edge_matmul`); heads are averaged. Each
+    aggregator ends with an output bias row; without one, a ReLU network
+    is positively homogeneous and argmax-blind to the per-node magnitude
+    that carries degree information.
     """
+    if ops.kind != kind:
+        raise ValueError(f"operators were built for {ops.kind}, not {kind!r}")
     try:
         if kind == "gcn":
-            if ops.gcn_norm is None:
-                raise ValueError("operators were not built for gcn")
-            out = sparse_matmul(ops.gcn_norm, matmul(h_prev, omega["w"]))
+            out = sparse_matmul(ops.agg, matmul(h_prev, omega["w"]))
         elif kind == "sage":
-            if ops.nbr_mean is None:
-                raise ValueError("operators were not built for sage")
-            neigh = sparse_matmul(ops.nbr_mean, h_prev)
+            neigh = sparse_matmul(ops.agg, h_prev)
             out = add(
                 matmul(h_prev, omega["w_self"]), matmul(neigh, omega["w_neigh"])
             )
-        elif kind == "gat":
-            if ops.att_offsets is None:
-                raise ValueError("operators were not built for gat")
+        else:
+            indptr = ops.agg.fwd.indptr
+            centers = np.repeat(np.arange(indptr.shape[0] - 1), np.diff(indptr))
             heads = omega["heads"]
-            out = _gat_head(h_prev, heads[0], ops.att_offsets, ops.att_members)
+            out = _gat_head(h_prev, heads[0], ops.agg, centers)
             for head in heads[1:]:
-                out = add(
-                    out, _gat_head(h_prev, head, ops.att_offsets, ops.att_members)
-                )
+                out = add(out, _gat_head(h_prev, head, ops.agg, centers))
             if len(heads) > 1:
                 out = scalar_mul(out, 1.0 / len(heads))
-        else:
-            raise ValueError(f"unknown aggregator kind {kind!r}")
         return add(out, omega["b"])
     except KeyError as exc:
         raise ValueError(f"missing {kind} weight {exc.args[0]!r}") from None

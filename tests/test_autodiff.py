@@ -170,6 +170,57 @@ def test_film_debias_property_matches_dense_oracle_and_fd(case):
     assert np.array_equal(shift_u.grad[unused], np.zeros((unused.size, width)))
 
 
+@st.composite
+def edge_matmul_cases(draw):
+    rows, cols, width = draw(st.integers(1, 7)), draw(st.integers(1, 7)), draw(st.integers(1, 4))
+    # Density 0 gives nnz = 0; lower densities leave rows with no entries.
+    density = draw(st.sampled_from([0.0, 0.2, 0.5, 1.0]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return rows, cols, width, density, seed
+
+
+@settings(max_examples=60, deadline=None)
+@given(edge_matmul_cases())
+def test_edge_matmul_property_matches_dense_oracle_and_fd(case):
+    from scipy import sparse
+
+    rows, cols, width, density, seed = case
+    rng = np.random.default_rng(seed)
+    mask = rng.random((rows, cols)) < density
+    op = _pattern_operator(mask)
+    values = tensor(rng, op.fwd.nnz, 1)
+    x = tensor(rng, cols, width)
+    cot = rng.standard_normal((rows, width))
+    dense = np.zeros((rows, cols))
+    row_ids = np.repeat(np.arange(rows), np.diff(op.fwd.indptr))
+    dense[row_ids, op.fwd.indices] = values.data[:, 0]
+
+    def program():
+        return ad.sum_all(ad.mul(ad.edge_matmul(values, op, x), Tensor(cot)))
+
+    out = ad.edge_matmul(values, op, x)
+    assert out.shape == (rows, width)
+    assert np.allclose(out.data, dense @ x.data, rtol=0.0, atol=1e-12)
+    with Tape() as tape:
+        loss = program()
+    tape.backward(loss)
+    assert np.array_equal(x.grad, sparse.csr_matrix(dense).T @ cot)
+    assert np.allclose(values.grad[:, 0], (cot @ x.data.T)[row_ids, op.fwd.indices],
+                       rtol=0.0, atol=1e-12)
+    assert ad.fd_check(program, [values, x], rng=rng) < 1e-6
+
+
+def test_edge_matmul_rejects_bad_values_and_shapes():
+    op = _pattern_operator(np.array([[True, False], [True, True]]))
+    x = Tensor(np.ones((2, 3)))
+    assert ad.edge_matmul(Tensor([[1.0], [2.0], [3.0]]), op, x).data.tolist() == \
+        [[1.0] * 3, [5.0] * 3]
+    with pytest.raises(ValueError):
+        ad.edge_matmul(Tensor([[1.0], [2.0]]), op, x)
+    with pytest.raises(ValueError):
+        ad.edge_matmul(Tensor([[1.0], [2.0], [3.0]]), op, Tensor(np.ones((3, 3))))
+
+
 # ----------------------------------------------------------------- backward
 
 
@@ -293,6 +344,12 @@ def _random_csr(rng, rows, cols):
     return ad.FixedSparse(mat)
 
 
+def _pattern_operator(mask):
+    from scipy import sparse
+
+    return ad.FixedSparse(sparse.csr_matrix(mask.astype(np.float64)))
+
+
 def op_programs(rng):
     """One scalar program per op, built on fresh random tensors."""
     n, d, k = int(rng.integers(2, 7)), int(rng.integers(2, 7)), int(rng.integers(2, 7))
@@ -306,11 +363,14 @@ def op_programs(rng):
     cot = Tensor(rng.standard_normal((n, d)))  # fixed cotangent
     cot_k = Tensor(rng.standard_normal((n, k)))
     idx = rng.integers(0, n, size=n + 2)
-    offsets = np.sort(np.concatenate([[0], rng.integers(0, n, size=2), [n]]))
-    seg_cot = Tensor(rng.standard_normal((offsets.size - 1, d)))
     smax_cot = Tensor(rng.standard_normal((n, 1)))
     sp = _random_csr(rng, n + 1, n)
     sp_cot = Tensor(rng.standard_normal((n + 1, d)))
+    # Learned entries on a random pattern whose row 0 is empty.
+    mask = rng.random((n + 1, n)) < 0.5
+    mask[0] = False
+    edge_op = _pattern_operator(mask)
+    edge_vals = tensor(rng, edge_op.fwd.nnz, 1)
     gathered_cot = Tensor(rng.standard_normal((idx.size, d)))
     mean_cot = Tensor(rng.standard_normal((1, d)))
     bias_k = tensor(rng, 1, k)
@@ -333,7 +393,6 @@ def op_programs(rng):
         "sub": (lambda: through(ad.sub(a, c), cot), [a, c]),
         "mul": (lambda: through(ad.mul(a, c), cot), [a, c]),
         "scalar_mul": (lambda: through(ad.scalar_mul(a, -1.7), cot), [a]),
-        "scale_rows": (lambda: through(ad.scale_rows(a, col), cot), [a, col]),
         "relu": (lambda: through(ad.relu(kinky), cot), [kinky]),
         "leaky_relu": (lambda: through(ad.leaky_relu(kinky), cot), [kinky]),
         "softmax_rows": (lambda: through(ad.softmax_rows(a), cot), [a]),
@@ -343,7 +402,10 @@ def op_programs(rng):
         "mean_rows": (lambda: through(ad.mean_rows(a), mean_cot), [a]),
         "sq_norm": (lambda: ad.sq_norm(a), [a]),
         "gather_rows": (lambda: through(ad.gather_rows(a, idx), gathered_cot), [a]),
-        "segment_sum": (lambda: through(ad.segment_sum(a, offsets), seg_cot), [a]),
+        "edge_matmul": (
+            lambda: through(ad.edge_matmul(edge_vals, edge_op, a), sp_cot),
+            [edge_vals, a],
+        ),
         "segment_softmax": (
             lambda: through(ad.segment_softmax(col, np.array([0, 1, n])), smax_cot),
             [col],

@@ -389,6 +389,12 @@ def _train(tmp_path, trained, *flags, eval_keys=(), train_keys=()):
     return ["train", "--config", str(path), *flags]
 
 
+def _train40(tmp_path):
+    # 40 nodes at fraction 0.3: no class has true members in both test-set
+    # degree groups, which depends on the labels and the split alone.
+    return ["train", "--config", str(write_config(tmp_path, write_dataset(tmp_path, n=40)))]
+
+
 PATH3 = ("0\t1\n1\t2\n", "0\n1\n0\n", "0\n1\n0\n")
 GOOD8 = [0, 1, 0, 1, 0, 1, 0, 1]
 
@@ -401,6 +407,7 @@ EXIT_MATRIX = [
                  id="audit-negative-prediction"),
     pytest.param(lambda t, m: _audit8(t, GOOD8, labels="00010010"), 3,
                  id="audit-no-class-in-both-groups"),
+    pytest.param(lambda t, m: _train40(t), 3, id="train-no-class-in-both-groups"),
     # Config errors (exit 2): flag or config values outside their range.
     pytest.param(lambda t, m: _audit8(t, GOOD8, "--fraction", "0.9"), 2,
                  id="audit-fraction-above-half"),
@@ -435,3 +442,20 @@ def test_bad_input_exits_with_documented_code(tmp_path, trained, capsys, make_ar
     assert "Traceback" not in captured.err
     assert captured.out == ""
     assert not (tmp_path / "out").exists()  # train rejects before any run
+
+
+@pytest.mark.filterwarnings("error")
+def test_eval_labels_with_fewer_classes_than_the_model(tmp_path, capsys):
+    data = write_dataset(tmp_path, n=300)
+    cfg = write_config(tmp_path, data, epochs=2)
+    assert main(["train", "--config", str(cfg), "--seed", "1", "--runs", "1"]) == 0
+    zeros = tmp_path / "zeros.txt"
+    zeros.write_text("0\n" * 300)
+    capsys.readouterr()
+    code = main(["eval", "--model", str(tmp_path / "out" / "model_seed1.txt"),
+                 "--edges", str(data / "edges.tsv"), "--features", str(data / "features.csv"),
+                 "--labels", str(zeros)])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    table = captured.out.split("recall_high\n")[1].splitlines()
+    assert [row.split()[0] for row in table] == ["0", "1"]  # the model's two classes

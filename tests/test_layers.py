@@ -197,7 +197,7 @@ def test_gcn_row_sums_one_on_cycle():
     g = make_graph(cycle, n)
     ops = build_operators(g, 1, full_groups(g, 10.0), "gcn")
     ones = np.ones((n, 1))
-    assert np.allclose(ops.gcn_norm.fwd @ ones, ones, atol=1e-12)
+    assert np.allclose(ops.agg.fwd @ ones, ones, atol=1e-12)
 
 
 def test_sage_zero_neighbor_weights():
@@ -221,7 +221,7 @@ def test_sage_neighbor_mean_matches_dense_oracle():
         adj[u, v] = adj[v, u] = 1.0
     deg = adj.sum(axis=1)
     expect = np.divide(adj, deg[:, None], out=np.zeros_like(adj), where=deg[:, None] > 0)
-    assert np.array_equal(ops.nbr_mean.fwd.toarray(), expect)
+    assert np.array_equal(ops.agg.fwd.toarray(), expect)
     assert not expect[3].any() and np.diag(expect).sum() == 0.0
 
 
@@ -239,6 +239,43 @@ def test_gat_uniform_attention_on_identical_embeddings():
     # Identical projections -> uniform attention -> output equals any z row.
     z = h.data @ head.w.data
     assert np.allclose(out.data, z, atol=1e-12)
+
+
+def test_gat_two_heads_match_dense_attention_oracle():
+    # Node 4 is isolated (attends to itself only); distinct rows make the
+    # attention non-uniform.
+    edges = [(0, 1), (0, 2), (0, 3), (1, 2), (3, 5)]
+    n = 6
+    g = make_graph(edges, n)
+    ops = build_operators(g, 1, full_groups(g, 10.0), "gat")
+    rng = np.random.default_rng(5)
+    h = Tensor(rng.standard_normal((n, 3)))
+    heads = [
+        GatHead(w=Tensor(rng.standard_normal((3, 4))),
+                att_self=Tensor(rng.standard_normal((4, 1))),
+                att_nbr=Tensor(rng.standard_normal((4, 1))))
+        for _ in range(2)
+    ]
+    b = Tensor(rng.standard_normal((1, 4)))
+    out = base_aggregate(h, ops, {"heads": heads, "b": b}, "gat")
+
+    closed = np.eye(n, dtype=bool)
+    for u, v in edges:
+        closed[u, v] = closed[v, u] = True
+    expect = np.zeros((n, 4))
+    alphas = []
+    for head in heads:
+        z = h.data @ head.w.data
+        logits = (z @ head.att_self.data) + (z @ head.att_nbr.data).T  # [i, j]
+        logits = np.where(logits > 0, logits, 0.2 * logits)
+        e = np.where(closed, np.exp(logits - logits.max(axis=1, keepdims=True)), 0.0)
+        alpha = e / e.sum(axis=1, keepdims=True)
+        alphas.append(alpha)
+        expect += alpha @ z / len(heads)
+    expect += b.data
+    assert np.allclose(out.data, expect, rtol=0.0, atol=1e-12)
+    assert alphas[0][4, 4] == 1.0
+    assert np.ptp(alphas[0][0][closed[0]]) > 0.05  # attention is not uniform
 
 
 def test_missing_weights_is_config_error():
