@@ -145,15 +145,21 @@ def build_graph(
                 f"edge endpoint {hi if hi >= num_nodes else lo} out of range for "
                 f"{num_nodes} nodes"
             )
-    # Symmetrize, drop self-loops, collapse duplicates.
-    both = np.concatenate([edges, edges[:, ::-1]], axis=0)
-    both = both[both[:, 0] != both[:, 1]]
-    both = np.unique(both, axis=0) if both.size else both.reshape(0, 2)
+    # Symmetrize, drop self-loops, collapse duplicates. Each directed pair
+    # (u, v) is the key u * n + v, so sorting the keys sorts by (u, v); the
+    # keys fit in int64 while n < 3.0e9. A sort and an adjacent-difference
+    # mask dedupe them; np.unique's hash table is many times slower here.
+    src = np.concatenate([edges[:, 0], edges[:, 1]])
+    dst = np.concatenate([edges[:, 1], edges[:, 0]])
+    keep = src != dst
+    keys = np.sort(src[keep] * num_nodes + dst[keep])
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    src, neighbors = np.divmod(keys[first], num_nodes)
 
-    counts = np.bincount(both[:, 0], minlength=num_nodes)
+    counts = np.bincount(src, minlength=num_nodes)
     offsets = np.zeros(num_nodes + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
-    neighbors = np.ascontiguousarray(both[:, 1])  # unique() sorted by (src, dst)
 
     return Graph(
         num_nodes=num_nodes,
@@ -165,47 +171,105 @@ def build_graph(
     )
 
 
-def _parse_int(token: str, path: str, lineno: int) -> int:
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+
+def _parse_int(token: str, path: str, lineno: int, what: str) -> int:
     try:
-        return int(token)
+        value = int(token)
     except ValueError:
         raise GraphFormatError(
             f"{path}:{lineno}: expected a base-10 integer, got {token!r}"
         ) from None
+    if not _INT64_MIN <= value <= _INT64_MAX:
+        raise GraphFormatError(
+            f"{path}:{lineno}: {what} out of range for int64, got {token!r}"
+        )
+    return value
+
+
+def _int_table(raw: bytes, ncols: int) -> np.ndarray | None:
+    """Parse ``raw`` in one pass if it is a plain table of unsigned ids, else None.
+
+    A plain table holds only ASCII digits, tabs and newlines; each line is
+    ``ncols`` tokens of 1 to 18 digits (so every value fits in int64)
+    separated by single tabs, and the file ends in a newline. Anything else
+    (comments, blank lines, CRLF, spaces, signs, long or non-ASCII digits)
+    is left to the per-line parser.
+    """
+    b = np.frombuffer(raw, dtype=np.uint8)
+    if b.size == 0 or b[-1] != ord("\n"):
+        return None
+    seps = np.flatnonzero((b - ord("0")) > 9)  # uint8 wraps: every non-digit byte
+    widths = np.diff(seps, prepend=-1) - 1  # digits before each separator
+    pattern = np.full(ncols, ord("\t"), dtype=np.uint8)
+    pattern[-1] = ord("\n")
+    if (
+        seps.size % ncols
+        or widths.min() < 1
+        or widths.max() > 18
+        or not (b[seps].reshape(-1, ncols) == pattern).all()
+    ):
+        return None
+    return np.array(raw.split(), dtype=np.int64).reshape(-1, ncols)
+
+
+def _lines(raw: bytes, path: str):
+    """Yield ``(lineno, line)`` for each line of ``raw``, decoded as UTF-8.
+
+    Lines end at ``\\n``, ``\\r\\n`` or ``\\r``, as in a file opened in text
+    mode; the terminator is not part of the line.
+    """
+    for lineno, line in enumerate(raw.splitlines(), start=1):
+        try:
+            yield lineno, line.decode("utf-8")
+        except UnicodeDecodeError:
+            raise GraphFormatError(f"{path}:{lineno}: not valid UTF-8") from None
+
+
+def _read_bytes(path: str) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
 
 
 def read_edges(path: str) -> np.ndarray:
     """Parse an edge file into an (m, 2) int64 array of node-id pairs.
 
     One edge per line, two node ids separated by a single tab; blank lines
-    and lines starting with ``#`` are ignored. A malformed line raises
+    and lines starting with ``#`` are ignored. A malformed line, an id
+    outside int64 or bytes that are not UTF-8 raise
     :class:`GraphFormatError` naming ``path:lineno``.
     """
+    raw = _read_bytes(path)
+    table = _int_table(raw, 2)
+    if table is not None:
+        return table
     edges = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise GraphFormatError(
-                    f"{path}:{lineno}: expected two tab-separated ids, got {line!r}"
-                )
-            u = _parse_int(parts[0], path, lineno)
-            v = _parse_int(parts[1], path, lineno)
-            edges.append((u, v))
+    for lineno, line in _lines(raw, path):
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise GraphFormatError(
+                f"{path}:{lineno}: expected two tab-separated ids, got {line!r}"
+            )
+        u = _parse_int(parts[0], path, lineno, "node id")
+        v = _parse_int(parts[1], path, lineno, "node id")
+        edges.append((u, v))
     return np.array(edges, dtype=np.int64).reshape(-1, 2)
 
 
 def read_labels(path: str) -> np.ndarray:
     """Parse a label file (one integer per line, blank lines skipped) as int64."""
+    raw = _read_bytes(path)
+    table = _int_table(raw, 1)
+    if table is not None:
+        return table.reshape(-1)
     labels = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if line:
-                labels.append(_parse_int(line, path, lineno))
+    for lineno, line in _lines(raw, path):
+        line = line.strip()
+        if line:
+            labels.append(_parse_int(line, path, lineno, "integer"))
     return np.array(labels, dtype=np.int64)
 
 
@@ -213,14 +277,19 @@ def load_graph(edge_path: str, feature_path: str, label_path: str) -> Graph:
     """Load a graph from an edge file, a feature CSV, and a label file.
 
     Edge file: see :func:`read_edges`. Feature file: CSV, row i holds the
-    fp64 features of node i. Label file: one integer per line, row i is the
-    class of node i.
+    fp64 features of node i; a file without rows is rejected. Label file:
+    one integer per line, row i is the class of node i.
     """
     edges = read_edges(edge_path)
     try:
-        features = np.loadtxt(feature_path, delimiter=",", dtype=np.float64, ndmin=2)
+        with warnings.catch_warnings():
+            # An empty file is reported below, not as numpy's warning.
+            warnings.filterwarnings("ignore", message="loadtxt: input contained no data")
+            features = np.loadtxt(feature_path, delimiter=",", dtype=np.float64, ndmin=2)
     except ValueError as exc:
         raise GraphFormatError(f"{feature_path}: {exc}") from None
+    if features.shape[0] == 0:
+        raise GraphFormatError(f"{feature_path}: no feature rows")
     return build_graph(edges, features, read_labels(label_path))
 
 
@@ -304,7 +373,12 @@ def local_contexts(g: Graph, r: int) -> tuple[np.ndarray, np.ndarray]:
     reach = step
     for _ in range(r - 1):
         reach = reach @ step  # boolean products OR-accumulate: no explicit zeros
-    reach.sort_indices()
+    if r > 1:
+        # A product leaves each row's columns unsorted. (A+I)^r is symmetric,
+        # so its transpose has the same pattern, and converting that CSC view
+        # to CSR is one O(nnz) counting pass that emits sorted rows, cheaper
+        # than sorting each row. A+I itself (r = 1) is already sorted.
+        reach = reach.T.tocsr()
     return reach.indptr.astype(np.int64), reach.indices.astype(np.int64)
 
 

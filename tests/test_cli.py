@@ -459,3 +459,102 @@ def test_eval_labels_with_fewer_classes_than_the_model(tmp_path, capsys):
     assert code == 0 and captured.err == ""
     table = captured.out.split("recall_high\n")[1].splitlines()
     assert [row.split()[0] for row in table] == ["0", "1"]  # the model's two classes
+
+
+# ------------------------------------------- ids beyond int64, non-UTF-8 bytes
+
+
+BAD_BYTES = [
+    pytest.param("edges", b"0\t1\n1\t99999999999999999999\n",
+                 "2: node id out of range for int64", id="edge-id-overflow"),
+    pytest.param("edges", b"0\t1\n-9223372036854775809\t2\n",
+                 "2: node id out of range for int64", id="edge-id-underflow"),
+    pytest.param("labels", b"0\n1\n99999999999999999999\n",
+                 "3: integer out of range for int64", id="label-overflow"),
+    pytest.param("preds", b"0\n18446744073709551616\n0\n",
+                 "2: integer out of range for int64", id="pred-overflow"),
+    pytest.param("edges", b"0\t1\n1\t\xff\n", "2: not valid UTF-8", id="edge-not-utf8"),
+    pytest.param("labels", b"0\r\n\xe2\x82\r\n0\r\n", "2: not valid UTF-8",
+                 id="label-not-utf8"),
+    pytest.param("preds", b"\xff\n", "1: not valid UTF-8", id="pred-not-utf8"),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name,raw,message", BAD_BYTES)
+def test_audit_unreadable_integer_file_exits_3(tmp_path, capsys, name, raw, message):
+    argv = _audit(tmp_path, *PATH3)
+    (tmp_path / f"{name}.txt").write_bytes(raw)
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {tmp_path / name}.txt:{message}")
+    assert "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("raw,message", [
+    pytest.param(b"0\t1\n1\t99999999999999999999\n", "2: node id out of range for int64",
+                 id="edge-id-overflow"),
+    pytest.param(b"# \xff\n0\t1\n", "1: not valid UTF-8", id="edge-not-utf8"),
+])
+def test_degree_stats_unreadable_edge_file_exits_3(tmp_path, capsys, raw, message):
+    edges = tmp_path / "edges.tsv"
+    edges.write_bytes(raw)
+    assert main(["degree-stats", "--edges", str(edges)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {edges}:{message}")
+    assert "Traceback" not in err
+
+
+# ------------------------------------------------ malformed feature CSVs
+
+
+def _bad_features(good: str, case: str) -> str:
+    rows = good.splitlines(keepends=True)
+    if case == "empty":
+        return ""
+    if case == "ragged-row":
+        rows[1] = rows[1].rsplit(",", 1)[0] + "\n"
+    elif case == "non-numeric-cell":
+        rows[2] = "abc," + rows[2].split(",", 1)[1]
+    elif case == "too-few-rows":
+        rows = rows[:-1]
+    return "".join(rows)
+
+
+def _with_features(tmp_path, trained, command, features):
+    data = trained["data"]
+    files = ["--edges", str(data / "edges.tsv"), "--labels", str(data / "labels.txt"),
+             "--features", str(features)]
+    if command == "eval":
+        return ["eval", "--model", str(trained["model"]), *files]
+    if command == "degree-stats":
+        return ["degree-stats", *files]
+    if command == "audit":
+        preds = tmp_path / "preds.txt"
+        preds.write_text((data / "labels.txt").read_text())
+        return ["audit", "--preds", str(preds), *files]
+    cfg = json.loads(trained["config"].read_text())
+    cfg["data"]["features"] = str(features)
+    cfg["output"]["dir"] = str(tmp_path / "out")
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    return ["train", "--config", str(path)]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", ["empty", "ragged-row", "non-numeric-cell", "too-few-rows"])
+@pytest.mark.parametrize("command", ["eval", "train", "degree-stats", "audit"])
+def test_malformed_feature_file_exits_3(tmp_path, trained, capsys, command, case):
+    features = tmp_path / "features.csv"
+    features.write_text(_bad_features((trained["data"] / "features.csv").read_text(), case))
+    argv = _with_features(tmp_path, trained, command, features)
+    capsys.readouterr()
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("data error: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+    if case == "empty":
+        assert captured.err == f"data error: {features}: no feature rows\n"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from degfair import graphs
 from degfair.graphs import (
     GraphDataError,
     GraphFormatError,
@@ -18,6 +19,8 @@ from degfair.graphs import (
     partition_boundaries,
     partition_contrast,
     partition_top_bottom,
+    read_edges,
+    read_labels,
     save_graph_files,
     split_nodes,
     synth_generate,
@@ -241,6 +244,151 @@ def test_local_contexts_property_matches_bfs_oracle(graph, r):
         assert np.all(np.diff(row) > 0)
         assert v in row
         assert row.tolist() == local_context(g, v, r).tolist()
+
+
+# ---------------------------------------------------------------- ingestion
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph=edge_lists())
+@example(graph=(1, [(0, 0), (0, 0)]))
+@example(graph=(3, [(2, 0), (0, 2), (1, 1), (2, 1)]))
+def test_build_graph_property_matches_pair_set_oracle(graph):
+    n, edges = graph
+    g = make_graph(edges, n)
+    assert g.csr_offsets.dtype == np.int64 and g.csr_neighbors.dtype == np.int64
+    assert g.csr_offsets.shape == (n + 1,) and g.csr_offsets[-1] == g.csr_neighbors.size
+    rows = [g.neighbors(v).tolist() for v in range(n)]
+    for v, row in enumerate(rows):
+        assert row == sorted(set(row))  # sorted, no duplicates
+        assert v not in row  # no self-loops
+    got = {(v, w) for v, row in enumerate(rows) for w in row}
+    assert got == {(w, v) for v, w in got}  # symmetric
+    assert got == {(a, b) for u, v in edges for a, b in ((u, v), (v, u)) if a != b}
+    assert g.num_edges == len(got) // 2
+
+
+def reference_read_edges(path):
+    """The edge format read line by line from a text-mode file.
+
+    Undecodable bytes come through as lone surrogates (surrogateescape), so a
+    line holding one is the first line that is not valid UTF-8.
+    """
+    edges = []
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if any("\udc80" <= c <= "\udcff" for c in line):
+                raise GraphFormatError(f"{path}:{lineno}: not valid UTF-8")
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise GraphFormatError(
+                    f"{path}:{lineno}: expected two tab-separated ids, got {line!r}"
+                )
+            pair = []
+            for token in parts:
+                try:
+                    value = int(token)
+                except ValueError:
+                    raise GraphFormatError(
+                        f"{path}:{lineno}: expected a base-10 integer, got {token!r}"
+                    ) from None
+                if not -(2**63) <= value < 2**63:
+                    raise GraphFormatError(
+                        f"{path}:{lineno}: node id out of range for int64, got {token!r}"
+                    )
+                pair.append(value)
+            edges.append(pair)
+    return np.array(edges, dtype=np.int64).reshape(-1, 2)
+
+
+PLAIN_ID = st.one_of(
+    st.integers(min_value=0, max_value=10**6).map(str),
+    st.text("0123456789", min_size=18, max_size=20),
+)
+ODD_ID = st.sampled_from(
+    ["+7", "-1", " 3", "4 ", "00", "1_0", "\u0663", "\uff13", "x", "", "-" + "9" * 19]
+)
+ODD_LINE = st.sampled_from(
+    [b"", b"# comment", b"#", b"0\t1\t2", b"0 1", b"\t", b"5", b"0\t\xff", b"\xe2\x82"]
+)
+
+
+@st.composite
+def edge_files(draw):
+    """Edge-file bytes: plain tab/newline tables, or lines with every oddity mixed in."""
+    plain = draw(st.booleans())
+    ids = PLAIN_ID if plain else st.one_of(PLAIN_ID, ODD_ID)
+    pair = st.tuples(ids, ids).map(lambda t: f"{t[0]}\t{t[1]}".encode())
+    lines = draw(st.lists(pair if plain else st.one_of(pair, ODD_LINE), max_size=12))
+    ends = st.just(b"\n") if plain else st.sampled_from([b"\n", b"\r\n", b"\r"])
+    text = b"".join(line + draw(ends) for line in lines)
+    if lines and not plain and draw(st.booleans()):
+        text = text.rstrip(b"\r\n")  # no final newline
+    return text
+
+
+def _outcome(parse, path):
+    try:
+        return parse(path)
+    except GraphFormatError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=edge_files())
+@example(raw=b"0\t1\n1\t99999999999999999999\n")
+@example(raw=b"999999999999999999\t0\n")
+@example(raw=b"9223372036854775807\t9223372036854775808\n")
+@example(raw=b"0\t1\r\n\xff\n")
+@example(raw=b"0\t1")
+@example(raw=b"")
+def test_read_edges_matches_reference_parser(tmp_path_factory, raw):
+    path = tmp_path_factory.getbasetemp() / "edges_property.tsv"
+    path.write_bytes(raw)
+    got, want = _outcome(read_edges, str(path)), _outcome(reference_read_edges, str(path))
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert isinstance(got, np.ndarray)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+def test_read_labels_overflow_and_utf8_name_the_line(tmp_path):
+    path = tmp_path / "labels.txt"
+    path.write_bytes(b"0\n\n 18446744073709551616 \n")
+    with pytest.raises(GraphFormatError, match=r"labels.txt:3: integer out of range for int64"):
+        read_labels(str(path))
+    path.write_bytes(b"0\r\n1\r\n\xff\r\n")
+    with pytest.raises(GraphFormatError, match=r"labels.txt:3: not valid UTF-8"):
+        read_labels(str(path))
+    path.write_bytes(b"# not a label\n")
+    with pytest.raises(GraphFormatError, match=r"labels.txt:1: expected a base-10 integer"):
+        read_labels(str(path))
+
+
+def test_saved_files_take_the_one_pass_parser(tmp_path, monkeypatch):
+    g = synth_generate(300, 3, 0.9, 2, seed=5)
+    paths = [str(tmp_path / name) for name in ("e.tsv", "f.csv", "l.txt")]
+    save_graph_files(g, *paths)
+
+    def per_line(raw, path):
+        raise AssertionError(f"{path} went to the per-line parser")
+
+    monkeypatch.setattr(graphs, "_lines", per_line)
+    src = np.repeat(np.arange(g.num_nodes), g.degrees)
+    once = src < g.csr_neighbors
+    edges = read_edges(paths[0])
+    assert edges.dtype == np.int64 and edges.flags.c_contiguous
+    assert np.array_equal(edges, np.stack([src[once], g.csr_neighbors[once]], axis=1))
+    labels = read_labels(paths[2])
+    assert labels.dtype == np.int64 and np.array_equal(labels, g.labels)
+    back = load_graph(*paths)
+    assert np.array_equal(back.csr_offsets, g.csr_offsets)
+    assert np.array_equal(back.csr_neighbors, g.csr_neighbors)
 
 
 # --------------------------------------------------------------- partitions
