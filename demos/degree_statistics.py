@@ -8,7 +8,7 @@ import numpy as np
 from degfair.graphs import (
     build_graph,
     generalized_degree,
-    local_context,
+    local_contexts,
     mean_degree,
     partition_contrast,
     partition_top_bottom,
@@ -25,7 +25,8 @@ print("deg_2 =", generalized_degree(g, 2))  # number of 2-walks per node
 
 # deg_2 counts walks, not distinct nodes: node 0 reaches {0, 2, 3} in two
 # steps via node 1, so its count is 3 even though it has a single neighbor.
-print("2-hop ball around node 0:", local_context(g, 0, 2))
+offsets, members = local_contexts(g, 2)
+print("2-hop ball around node 0:", members[offsets[0] : offsets[1]])
 
 print("\n== long-tailed synthetic graph with planted degree bias")
 big = synth_generate(n=300, attach=2, label_bias=0.9, feat_dim=8, seed=7)

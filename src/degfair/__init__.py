@@ -26,7 +26,6 @@ from degfair.graphs import (
     build_graph,
     generalized_degree,
     load_graph,
-    local_context,
     mean_degree,
     partition_contrast,
     partition_top_bottom,

@@ -87,26 +87,6 @@ class Tensor:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scalar_mul(self, float(other))
-
-    def __rmul__(self, other):
-        return scalar_mul(self, float(other))
-
-    def __neg__(self):
-        return scalar_mul(self, -1.0)
-
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -156,7 +136,8 @@ class Tape:
         self._used = True
         loss.grad = np.ones((1, 1))
         # Identity-style vjps can hand the same buffer to several tensors;
-        # copy on first assignment if the buffer is already owned.
+        # copy on first assignment if the buffer is already owned. No two
+        # tensors then share a grad, so later contributions add in place.
         owned: set[int] = set()
         for out, pairs in reversed(self._entries):
             g = out.grad
@@ -170,14 +151,8 @@ class Tape:
                         contrib = contrib.copy()
                     parent.grad = contrib
                     owned.add(id(contrib))
-                elif id(parent.grad) in owned:
-                    parent.grad = parent.grad + contrib
-                    owned.add(id(parent.grad))
                 else:
-                    # Pre-existing buffer (a zeroed parameter grad) is owned
-                    # by the parent alone; accumulate in place.
                     np.add(parent.grad, contrib, out=parent.grad)
-                    owned.add(id(parent.grad))
 
 
 @contextlib.contextmanager

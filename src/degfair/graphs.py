@@ -8,7 +8,7 @@ node. All node ids are dense 0..N-1.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -25,12 +25,10 @@ __all__ = [
     "read_labels",
     "save_graph_files",
     "generalized_degree",
-    "local_context",
     "local_contexts",
     "mean_degree",
     "partition_contrast",
     "partition_top_bottom",
-    "partition_boundaries",
     "split_nodes",
     "synth_generate",
 ]
@@ -79,17 +77,9 @@ class Graph:
 
 @dataclass(frozen=True)
 class GroupAssignment:
-    """Pairwise-disjoint node groups plus the parameters that produced them.
+    """Pairwise-disjoint node groups: a low-degree group, then a high-degree one."""
 
-    ``kind`` is one of ``threshold-contrast`` (low/high split at a degree
-    threshold, covers the universe), ``top-bottom-fraction`` (bottom-p% and
-    top-p% of the universe by degree), or ``boundary-list`` (general
-    half-open degree ranges).
-    """
-
-    kind: str
     groups: list[np.ndarray]
-    params: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -336,28 +326,6 @@ def generalized_degree(g: Graph, r: int = 1) -> np.ndarray:
     return x
 
 
-def local_context(g: Graph, v: int, r: int) -> np.ndarray:
-    """All nodes within shortest-path distance r of v, including v itself."""
-    if not 0 <= v < g.num_nodes:
-        raise ValueError(f"node {v} out of range for {g.num_nodes} nodes")
-    if r < 0:
-        raise ValueError(f"radius must be >= 0, got {r}")
-    seen = {v}
-    frontier = [v]
-    for _ in range(r):
-        nxt = []
-        for u in frontier:
-            for w in g.neighbors(u):
-                w = int(w)
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        if not nxt:
-            break
-        frontier = nxt
-    return np.array(sorted(seen), dtype=np.int64)
-
-
 def local_contexts(g: Graph, r: int) -> tuple[np.ndarray, np.ndarray]:
     """r-hop local context of every node, as CSR (offsets, members).
 
@@ -413,9 +381,7 @@ def partition_contrast(
             f"(|S0|={s0.size}, |S1|={s1.size})",
             stacklevel=2,
         )
-    return GroupAssignment(
-        kind="threshold-contrast", groups=[s0, s1], params={"threshold": threshold}
-    )
+    return GroupAssignment(groups=[s0, s1])
 
 
 def partition_top_bottom(
@@ -436,34 +402,7 @@ def partition_top_bottom(
     k = int(np.floor(fraction * universe.size))
     g0 = np.sort(order[:k])
     g1 = np.sort(order[order.size - k :]) if k else np.empty(0, dtype=np.int64)
-    return GroupAssignment(
-        kind="top-bottom-fraction", groups=[g0, g1], params={"fraction": fraction}
-    )
-
-
-def partition_boundaries(
-    degrees: np.ndarray, boundaries, node_universe=None
-) -> GroupAssignment:
-    """General m-group partition by half-open degree ranges.
-
-    ``boundaries`` is an ascending sequence d_1 < ... < d_{m+1}; group i
-    holds nodes with d_i <= degree < d_{i+1}.
-    """
-    bounds = np.asarray(boundaries, dtype=np.float64)
-    if bounds.ndim != 1 or bounds.size < 2:
-        raise ValueError("need at least two boundaries")
-    if np.any(np.diff(bounds) <= 0):
-        raise ValueError("boundaries must be strictly increasing")
-    degrees = np.asarray(degrees, dtype=np.float64)
-    universe = _as_universe(node_universe, degrees)
-    deg = degrees[universe]
-    groups = [
-        universe[(bounds[i] <= deg) & (deg < bounds[i + 1])]
-        for i in range(bounds.size - 1)
-    ]
-    return GroupAssignment(
-        kind="boundary-list", groups=groups, params={"boundaries": bounds.tolist()}
-    )
+    return GroupAssignment(groups=[g0, g1])
 
 
 def split_nodes(

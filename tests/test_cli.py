@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -384,9 +385,13 @@ def _train(tmp_path, trained, *flags, eval_keys=(), train_keys=()):
     cfg["eval"].update(eval_keys)
     cfg["train"].update(train_keys)
     cfg["output"]["dir"] = str(tmp_path / "out")
+    return [*_train_text(tmp_path, json.dumps(cfg)), *flags]
+
+
+def _train_text(tmp_path, text):
     path = tmp_path / "run.json"
-    path.write_text(json.dumps(cfg))
-    return ["train", "--config", str(path), *flags]
+    path.write_text(text)
+    return ["train", "--config", str(path)]
 
 
 def _train40(tmp_path):
@@ -428,6 +433,14 @@ EXIT_MATRIX = [
     pytest.param(lambda t, m: _train(t, m, train_keys={"r_context": 0}), 2,
                  id="train-r-context"),
     pytest.param(lambda t, m: _train(t, m, "--runs", "0"), 2, id="train-runs-flag"),
+    # Config errors (exit 2): the run-config file itself is malformed.
+    pytest.param(lambda t, m: _train_text(t, '{"data": '), 2, id="train-invalid-json"),
+    pytest.param(lambda t, m: _train_text(t, "[]"), 2, id="train-config-not-object"),
+    pytest.param(lambda t, m: _train_text(t, '{"seed": 1}'), 2, id="train-no-data-section"),
+    pytest.param(lambda t, m: _train_text(t, json.dumps({"data": {"edges": "e.tsv"}})), 2,
+                 id="train-data-key-missing"),
+    pytest.param(lambda t, m: _train_text(t, json.dumps({"preset": "nope", "data": {
+        "edges": "e.tsv", "features": "f.csv", "labels": "l.txt"}})), 2, id="train-unknown-preset"),
 ]
 
 
@@ -442,6 +455,20 @@ def test_bad_input_exits_with_documented_code(tmp_path, trained, capsys, make_ar
     assert "Traceback" not in captured.err
     assert captured.out == ""
     assert not (tmp_path / "out").exists()  # train rejects before any run
+
+
+def test_train_divergence_exits_4(tmp_path, capsys):
+    data = write_dataset(tmp_path)
+    cfg = write_config(tmp_path, data, epochs=20, patience=20, dropout=0.0, lr=1e150)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # deliberate overflow
+        code = main(["train", "--config", str(cfg), "--runs", "1"])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.startswith("training diverged: ")
+    assert "Traceback" not in err
+    assert list((tmp_path / "out").glob("model_seed*.txt")) == []
 
 
 @pytest.mark.filterwarnings("error")

@@ -13,10 +13,8 @@ from degfair.graphs import (
     build_graph,
     generalized_degree,
     load_graph,
-    local_context,
     local_contexts,
     mean_degree,
-    partition_boundaries,
     partition_contrast,
     partition_top_bottom,
     read_edges,
@@ -183,6 +181,17 @@ def test_degree_requires_positive_r():
 
 
 # ------------------------------------------------------------ local context
+
+
+def local_context(g, v, r):
+    """Independent oracle: all nodes within distance r of v, by breadth-first search."""
+    seen = {v}
+    frontier = [v]
+    for _ in range(r):
+        frontier = [int(w) for u in frontier for w in g.neighbors(u) if int(w) not in seen]
+        frontier = sorted(set(frontier))
+        seen.update(frontier)
+    return np.array(sorted(seen), dtype=np.int64)
 
 
 def test_local_context_path():
@@ -454,15 +463,6 @@ def test_top_bottom_restricted_universe():
     assert ga.groups[1].tolist() == [3, 5]
 
 
-def test_boundary_partition():
-    deg = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
-    ga = partition_boundaries(deg, [0.0, 2.0, 5.0])
-    assert ga.groups[0].tolist() == [0, 1]
-    assert ga.groups[1].tolist() == [2, 3, 4]
-    with pytest.raises(ValueError):
-        partition_boundaries(deg, [3.0, 1.0])
-
-
 @st.composite
 def degree_universes(draw, min_size=0):
     """Integer-valued degrees plus a node universe (None = every node)."""
@@ -505,22 +505,6 @@ def test_top_bottom_property_sizes_disjoint_ties_by_id(data, fraction):
     assert bottom.tolist() == sorted(ranked[:k])
     assert top.tolist() == sorted(ranked[len(ranked) - k:])
     assert not set(bottom.tolist()) & set(top.tolist())
-
-
-@settings(max_examples=100, deadline=None)
-@given(data=degree_universes(),
-       bounds=st.lists(st.integers(-1, 10), min_size=2, max_size=6, unique=True))
-@example(data=(np.array([0.0, 2.0, 5.0, 5.0]), None), bounds=[0, 2, 5])
-def test_boundaries_property_half_open(data, bounds):
-    degrees, universe = data
-    bounds = sorted(bounds)
-    ids = universe_ids(degrees, universe)
-    groups = partition_boundaries(degrees, bounds, node_universe=universe).groups
-    assert len(groups) == len(bounds) - 1
-    for i, group in enumerate(groups):
-        assert group.tolist() == [v for v in ids if bounds[i] <= degrees[v] < bounds[i + 1]]
-    placed = sorted(v for group in groups for v in group.tolist())
-    assert placed == [v for v in ids if bounds[0] <= degrees[v] < bounds[-1]]
 
 
 # ------------------------------------------------------------------ save files

@@ -289,8 +289,7 @@ def test_groups_must_cover_all_nodes():
     g = make_graph([(0, 1), (1, 2)], 3)
     from degfair.graphs import GroupAssignment
 
-    bad = GroupAssignment(kind="threshold-contrast",
-                          groups=[np.array([0]), np.array([2])])
+    bad = GroupAssignment(groups=[np.array([0]), np.array([2])])
     with pytest.raises(ValueError):
         build_operators(g, 1, bad, "gcn")
 
