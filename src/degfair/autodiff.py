@@ -24,7 +24,6 @@ __all__ = [
     "as_tensor",
     "matmul",
     "add",
-    "sub",
     "mul",
     "scalar_mul",
     "relu",
@@ -37,12 +36,11 @@ __all__ = [
     "sq_norm",
     "masked_sq_norm",
     "gather_rows",
-    "segment_softmax",
     "affine",
     "add_scaled",
     "film_debias",
     "sparse_matmul",
-    "edge_matmul",
+    "softmax_matmul",
     "dropout",
     "fd_check",
 ]
@@ -210,14 +208,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     raise ValueError(f"add shape mismatch: {a.shape} + {b.shape}")
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    if a.shape != b.shape:
-        raise ValueError(f"sub shape mismatch: {a.shape} - {b.shape}")
-    out = Tensor(a.data - b.data)
-    return _record(out, [(a, lambda g: g), (b, lambda g: -g)])
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.shape != b.shape:
@@ -330,32 +320,6 @@ def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
     idx = np.asarray(idx, dtype=np.int64)
     out = Tensor(x.data[idx])
     return _record(out, [(x, lambda g: _scatter_rows(idx, g, x.shape[0]))])
-
-
-def segment_softmax(x: Tensor, offsets: np.ndarray) -> Tensor:
-    """Softmax over contiguous segments of a column vector (n x 1)."""
-    x = as_tensor(x)
-    if x.shape[1] != 1:
-        raise ValueError(f"segment_softmax needs an (n, 1) input, got {x.shape}")
-    offsets = np.asarray(offsets, dtype=np.int64)
-    if offsets[-1] != x.shape[0]:
-        raise ValueError("segment offsets do not cover the input rows")
-    nseg = offsets.shape[0] - 1
-    seg_id = np.repeat(np.arange(nseg), np.diff(offsets))
-    v = x.data[:, 0]
-    m = np.full(nseg, -np.inf)
-    np.maximum.at(m, seg_id, v)
-    e = np.exp(v - m[seg_id])
-    denom = np.bincount(seg_id, weights=e, minlength=nseg)
-    p = e / denom[seg_id]
-
-    def vjp(g):
-        gv = g[:, 0]
-        dot = np.bincount(seg_id, weights=gv * p, minlength=nseg)
-        return (p * (gv - dot[seg_id]))[:, None]
-
-    out = Tensor(p[:, None])
-    return _record(out, [(x, vjp)])
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -480,42 +444,50 @@ def sparse_matmul(op: FixedSparse, x: Tensor) -> Tensor:
     return _record(out, [(x, lambda g: op.fwd.T @ g)])
 
 
-def edge_matmul(values: Tensor, op: FixedSparse, x: Tensor) -> Tensor:
-    """``S @ x`` for the matrix S with ``op.fwd``'s pattern and learned entries.
+def softmax_matmul(scores: Tensor, op: FixedSparse, x: Tensor) -> Tensor:
+    """``S @ x`` for S on ``op.fwd``'s pattern, each row a softmax of its scores.
 
-    ``values`` (nnz x 1) holds S's entries in ``op.fwd``'s CSR order; the
-    operator's own values are not read. The adjoint of ``x`` is ``S.T @ g``
-    (a CSC view, as in :func:`sparse_matmul`); the adjoint of entry (i, j)
+    ``scores`` (nnz x 1) holds one score per entry in ``op.fwd``'s CSR order;
+    the operator's own values are not read. Each row's scores are softmaxed
+    with the row maximum subtracted first. The adjoint of ``x`` is
+    ``S.T @ g`` (a CSC view, as in :func:`sparse_matmul`); that of the
+    scores is ``p * (gp - rowsum(p * gp))``, where ``gp`` for entry (i, j)
     is the dot product of ``g[i]`` and ``x[j]``.
     """
-    values, x = as_tensor(values), as_tensor(x)
+    scores, x = as_tensor(scores), as_tensor(x)
     pattern = op.fwd
-    if values.shape != (pattern.nnz, 1):
-        raise ValueError(f"edge_matmul needs ({pattern.nnz}, 1) values, got {values.shape}")
+    if scores.shape != (pattern.nnz, 1):
+        raise ValueError(f"softmax_matmul needs ({pattern.nnz}, 1) scores, got {scores.shape}")
     if pattern.shape[1] != x.shape[0]:
-        raise ValueError(f"edge_matmul shape mismatch: {pattern.shape} @ {x.shape}")
-    mat = _sparse.csr_matrix(
-        (values.data[:, 0], pattern.indices, pattern.indptr), shape=pattern.shape
-    )
+        raise ValueError(f"softmax_matmul shape mismatch: {pattern.shape} @ {x.shape}")
+    n = pattern.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(pattern.indptr))
+    v = scores.data[:, 0]
+    m = np.full(n, -np.inf)
+    np.maximum.at(m, rows, v)
+    e = np.exp(v - m[rows])
+    denom = np.bincount(rows, weights=e, minlength=n)
+    p = e / denom[rows]
+    mat = _sparse.csr_matrix((p, pattern.indices, pattern.indptr), shape=pattern.shape)
     out = Tensor(mat @ x.data)
 
-    def vjp_values(g):
-        rows = np.repeat(np.arange(pattern.shape[0]), np.diff(pattern.indptr))
-        return np.einsum("ij,ij->i", g[rows], x.data[pattern.indices])[:, None]
+    def vjp_scores(g):
+        gp = np.einsum("ij,ij->i", g[rows], x.data[pattern.indices])
+        dot = np.bincount(rows, weights=gp * p, minlength=n)
+        return (p * (gp - dot[rows]))[:, None]
 
-    return _record(out, [(values, vjp_values), (x, lambda g: mat.T @ g)])
+    return _record(out, [(scores, vjp_scores), (x, lambda g: mat.T @ g)])
 
 
-def dropout(x: Tensor, p: float, train: bool, rng: np.random.Generator) -> Tensor:
+def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout: zero entries with probability p, scale survivors.
 
-    In eval mode (or p=0) this is a bit-exact identity and consumes no
-    randomness.
+    At p=0 this is a bit-exact identity and consumes no randomness.
     """
     x = as_tensor(x)
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {p}")
-    if not train or p == 0.0:
+    if p == 0.0:
         return x
     keep = rng.random(x.shape) >= p
     scale = keep / (1.0 - p)

@@ -27,14 +27,13 @@ from degfair.autodiff import (
     add_scaled,
     affine,
     dropout,
-    edge_matmul,
     film_debias,
     gather_rows,
     leaky_relu,
     matmul,
     relu,
     scalar_mul,
-    segment_softmax,
+    softmax_matmul,
     softmax_rows,
     sparse_matmul,
 )
@@ -330,8 +329,7 @@ def _gat_head(
     s_self = matmul(z, head.att_self)
     s_nbr = matmul(z, head.att_nbr)
     logits = add(gather_rows(s_self, centers), gather_rows(s_nbr, pattern.fwd.indices))
-    alpha = segment_softmax(leaky_relu(logits, 0.2), pattern.fwd.indptr)
-    return edge_matmul(alpha, pattern, z)
+    return softmax_matmul(leaky_relu(logits, 0.2), pattern, z)
 
 
 def base_aggregate(
@@ -342,9 +340,9 @@ def base_aggregate(
     Every backbone aggregates through the one operator ``ops.agg``, which
     must have been built for ``kind``. GCN: normalized-adjacency
     propagation of h @ w. GraphSAGE: separate self and mean-neighbor
-    transforms. GAT: per head, attention coefficients over each node's
-    closed neighborhood become the entries of ``ops.agg``'s pattern
-    (:func:`degfair.autodiff.edge_matmul`); heads are averaged. Each
+    transforms. GAT: per head, the row softmax of attention scores over
+    each node's closed neighborhood weights ``ops.agg``'s pattern
+    (:func:`degfair.autodiff.softmax_matmul`); heads are averaged. Each
     aggregator ends with an output bias row; without one, a ReLU network
     is positively homogeneous and argmax-blind to the per-node magnitude
     that carries degree information.
@@ -426,7 +424,6 @@ def model_forward(
     ops: GraphOperators,
     eps: float,
     dropout_rate: float = 0.0,
-    train_mode: bool = False,
     rng: np.random.Generator | None = None,
     dropout_input: bool = False,
     features: Tensor | None = None,
@@ -434,16 +431,16 @@ def model_forward(
     """Full forward pass: ReLU hidden layers, softmax output layer.
 
     This is the one debiased forward: training runs it on a tape, and the
-    per-epoch eval and ``predict`` run it outside one. Dropout (train mode
-    only) is applied to hidden activations, and to the input features as
-    well when ``dropout_input`` is set. ``features`` overrides the raw graph
-    features (e.g. a normalized copy).
+    per-epoch eval and ``predict`` run it outside one, at the default
+    ``dropout_rate`` of 0. Dropout is applied to hidden activations, and to
+    the input features as well when ``dropout_input`` is set. ``features``
+    overrides the raw graph features (e.g. a normalized copy).
     """
-    if train_mode and dropout_rate > 0.0 and rng is None:
-        raise ValueError("training-mode dropout needs an rng")
+    if dropout_rate > 0.0 and rng is None:
+        raise ValueError("dropout needs an rng")
     h = features if features is not None else Tensor(g.features)
     if dropout_input:
-        h = dropout(h, dropout_rate, train_mode, rng)
+        h = dropout(h, dropout_rate, rng)
     entries = []
     last = len(params.layers) - 1
     for i, layer in enumerate(params.layers):
@@ -453,7 +450,7 @@ def model_forward(
         entries.append(entry)
         h = entry.h
         if i != last:
-            h = dropout(h, dropout_rate, train_mode, rng)
+            h = dropout(h, dropout_rate, rng)
     return ForwardTrace(
         layers=entries, probs=entries[-1].h, degree_inverse=ops.degree_inverse
     )
@@ -464,21 +461,20 @@ def base_forward(
     params: ModelParams,
     ops: GraphOperators,
     dropout_rate: float = 0.0,
-    train_mode: bool = False,
     rng: np.random.Generator | None = None,
     dropout_input: bool = False,
     features: Tensor | None = None,
 ) -> Tensor:
     """Plain base-GNN forward (no debiasing path); returns probabilities."""
-    if train_mode and dropout_rate > 0.0 and rng is None:
-        raise ValueError("training-mode dropout needs an rng")
+    if dropout_rate > 0.0 and rng is None:
+        raise ValueError("dropout needs an rng")
     h = features if features is not None else Tensor(g.features)
     if dropout_input:
-        h = dropout(h, dropout_rate, train_mode, rng)
+        h = dropout(h, dropout_rate, rng)
     last = len(params.layers) - 1
     for i, layer in enumerate(params.layers):
         pre = base_aggregate(h, ops, layer.omega, params.kind)
         h = _activate(pre, "softmax" if i == last else "relu")
         if i != last:
-            h = dropout(h, dropout_rate, train_mode, rng)
+            h = dropout(h, dropout_rate, rng)
     return h

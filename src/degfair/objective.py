@@ -23,6 +23,7 @@ import numpy as np
 from degfair.autodiff import (
     Tensor,
     add,
+    add_scaled,
     clamp_min,
     film_debias,
     gather_rows,
@@ -32,7 +33,6 @@ from degfair.autodiff import (
     mul,
     scalar_mul,
     sq_norm,
-    sub,
     sum_all,
 )
 from degfair.layers import ForwardTrace, ModelParams
@@ -91,7 +91,7 @@ def fairness_loss(h_final: Tensor, low_tr: np.ndarray, high_tr: np.ndarray) -> T
         return Tensor([[0.0]])
     mean_low = mean_rows(gather_rows(h_final, low_tr))
     mean_high = mean_rows(gather_rows(h_final, high_tr))
-    return sq_norm(sub(mean_low, mean_high))
+    return sq_norm(add_scaled(mean_low, mean_high, -1.0))
 
 
 def debias_constraint(trace: ForwardTrace, low_tr: np.ndarray, high_tr: np.ndarray) -> Tensor:

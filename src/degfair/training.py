@@ -278,7 +278,6 @@ def train(
     opt = Adam(trainable, lr=config.lr)
     forward_args = dict(
         dropout_rate=config.dropout,
-        train_mode=True,
         rng=rng,
         dropout_input=config.dropout_input,
         features=feats,

@@ -16,6 +16,7 @@ from degfair.layers import (
     context_operator,
     degree_encoding_matrix,
     fair_layer_forward,
+    input_features,
     model_forward,
 )
 from degfair.training import TrainConfig, init_params
@@ -280,9 +281,20 @@ def test_gat_two_heads_match_dense_attention_oracle():
 
 def test_missing_weights_is_config_error():
     g = make_graph([(0, 1)], 2)
-    ops = build_operators(g, 1, full_groups(g, 10.0), "gcn")
-    with pytest.raises(ValueError):
-        base_aggregate(Tensor(np.zeros((2, 2))), ops, {"w": Tensor(np.eye(2))}, "sage")
+    h = Tensor(np.zeros((2, 2)))
+    gcn_ops = build_operators(g, 1, full_groups(g, 10.0), "gcn")
+    with pytest.raises(ValueError, match="built for gcn"):
+        base_aggregate(h, gcn_ops, {"w": Tensor(np.eye(2))}, "sage")
+    sage_ops = build_operators(g, 1, full_groups(g, 10.0), "sage")
+    with pytest.raises(ValueError, match="missing sage weight 'w_self'"):
+        base_aggregate(h, sage_ops, {"w_neigh": Tensor(np.eye(2)), "b": Tensor(np.zeros((1, 2)))},
+                       "sage")
+
+
+def test_input_features_none_is_the_raw_features():
+    # Rows of unequal length, so a normalized copy would differ.
+    g = make_graph([(0, 1), (1, 2)], 3, feats=np.arange(6.0).reshape(3, 2) - 2.5)
+    assert input_features(g, "none").data.tobytes() == g.features.tobytes()
 
 
 def test_groups_must_cover_all_nodes():
@@ -394,14 +406,33 @@ def test_eps_zero_reduction_is_bit_identical(kind):
 
 def test_model_forward_deterministic():
     g, config, ops, params = synth_setup("gcn")
-    a = model_forward(g, params, ops, eps=0.7, dropout_rate=0.5, train_mode=True,
-                      rng=np.random.default_rng(9))
-    b = model_forward(g, params, ops, eps=0.7, dropout_rate=0.5, train_mode=True,
-                      rng=np.random.default_rng(9))
+    a = model_forward(g, params, ops, eps=0.7, dropout_rate=0.5, rng=np.random.default_rng(9))
+    b = model_forward(g, params, ops, eps=0.7, dropout_rate=0.5, rng=np.random.default_rng(9))
     assert np.array_equal(a.probs.data, b.probs.data)
     for ea, eb in zip(a.layers, b.layers):
         assert np.array_equal(ea.ctx.data, eb.ctx.data)
         assert np.array_equal(ea.scale_u.data, eb.scale_u.data)
+
+
+def test_base_forward_input_dropout_follows_the_seed():
+    g, config, ops, params = synth_setup("sage")
+
+    def run(seed, dropout_input):
+        return base_forward(g, params, ops, dropout_rate=0.5, rng=np.random.default_rng(seed),
+                            dropout_input=dropout_input).data
+
+    assert np.array_equal(run(3, True), run(3, True))
+    assert not np.array_equal(run(3, True), run(3, False))
+
+
+@pytest.mark.parametrize("forward", [
+    lambda *a: model_forward(*a, eps=0.7, dropout_rate=0.5),
+    lambda *a: base_forward(*a, dropout_rate=0.5),
+], ids=["model_forward", "base_forward"])
+def test_dropout_without_rng_is_rejected(forward):
+    g, config, ops, params = synth_setup("gcn")
+    with pytest.raises(ValueError, match="dropout needs an rng"):
+        forward(g, params, ops)
 
 
 def test_mixed_routing_matches_dense_oracle():
