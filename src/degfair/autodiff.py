@@ -27,7 +27,6 @@ __all__ = [
     "mul",
     "scalar_mul",
     "relu",
-    "leaky_relu",
     "softmax_rows",
     "log",
     "clamp_min",
@@ -40,7 +39,7 @@ __all__ = [
     "add_scaled",
     "film_debias",
     "sparse_matmul",
-    "softmax_matmul",
+    "attention_matmul",
     "dropout",
     "fd_check",
 ]
@@ -228,13 +227,6 @@ def relu(x: Tensor) -> Tensor:
     mask = x.data > 0
     out = Tensor(np.where(mask, x.data, 0.0))
     return _record(out, [(x, lambda g: g * mask)])
-
-
-def leaky_relu(x: Tensor, alpha: float = 0.2) -> Tensor:
-    x = as_tensor(x)
-    mask = x.data > 0
-    out = Tensor(np.where(mask, x.data, alpha * x.data))
-    return _record(out, [(x, lambda g: g * np.where(mask, 1.0, alpha))])
 
 
 def softmax_rows(x: Tensor) -> Tensor:
@@ -444,39 +436,48 @@ def sparse_matmul(op: FixedSparse, x: Tensor) -> Tensor:
     return _record(out, [(x, lambda g: op.fwd.T @ g)])
 
 
-def softmax_matmul(scores: Tensor, op: FixedSparse, x: Tensor) -> Tensor:
-    """``S @ x`` for S on ``op.fwd``'s pattern, each row a softmax of its scores.
+def attention_matmul(s_self: Tensor, s_nbr: Tensor, op: FixedSparse, x: Tensor) -> Tensor:
+    """GAT attention in one op: ``S @ x`` for S on ``op.fwd``'s pattern.
 
-    ``scores`` (nnz x 1) holds one score per entry in ``op.fwd``'s CSR order;
-    the operator's own values are not read. Each row's scores are softmaxed
-    with the row maximum subtracted first. The adjoint of ``x`` is
-    ``S.T @ g`` (a CSC view, as in :func:`sparse_matmul`); that of the
-    scores is ``p * (gp - rowsum(p * gp))``, where ``gp`` for entry (i, j)
-    is the dot product of ``g[i]`` and ``x[j]``.
+    Entry (i, j) scores ``s_self[i] + s_nbr[j]`` through GAT's leaky ReLU
+    (slope 0.2 below 0), and each row of S is the softmax of its scores, row
+    maximum subtracted first; the operator's values are not read. The adjoint of
+    ``x`` is ``S.T @ g`` (a CSC view, as in :func:`sparse_matmul`). The
+    score adjoint, ``p * (gp - rowsum(p * gp))`` times the slope, where
+    ``gp`` for entry (i, j) is ``g[i] . x[j]``, sums onto ``s_self`` by row
+    and onto ``s_nbr`` by column.
     """
-    scores, x = as_tensor(scores), as_tensor(x)
+    s_self, s_nbr, x = as_tensor(s_self), as_tensor(s_nbr), as_tensor(x)
     pattern = op.fwd
-    if scores.shape != (pattern.nnz, 1):
-        raise ValueError(f"softmax_matmul needs ({pattern.nnz}, 1) scores, got {scores.shape}")
-    if pattern.shape[1] != x.shape[0]:
-        raise ValueError(f"softmax_matmul shape mismatch: {pattern.shape} @ {x.shape}")
-    n = pattern.shape[0]
-    rows = np.repeat(np.arange(n), np.diff(pattern.indptr))
-    v = scores.data[:, 0]
-    m = np.full(n, -np.inf)
-    np.maximum.at(m, rows, v)
-    e = np.exp(v - m[rows])
-    denom = np.bincount(rows, weights=e, minlength=n)
-    p = e / denom[rows]
-    mat = _sparse.csr_matrix((p, pattern.indices, pattern.indptr), shape=pattern.shape)
-    out = Tensor(mat @ x.data)
+    n, m = pattern.shape
+    if s_self.shape != (n, 1) or s_nbr.shape != (m, 1):
+        raise ValueError(f"attention_matmul needs ({n}, 1) and ({m}, 1) scores, "
+                         f"got {s_self.shape} and {s_nbr.shape}")
+    if x.shape[0] != m:
+        raise ValueError(f"attention_matmul shape mismatch: {pattern.shape} @ {x.shape}")
+    rows, cols = np.repeat(np.arange(n), np.diff(pattern.indptr)), pattern.indices
+    logits = s_self.data[rows, 0] + s_nbr.data[cols, 0]
+    positive = logits > 0
+    v = np.where(positive, logits, 0.2 * logits)
+    row_max = np.full(n, -np.inf)
+    np.maximum.at(row_max, rows, v)
+    e = np.exp(v - row_max[rows])
+    p = e / np.bincount(rows, weights=e, minlength=n)[rows]
+    mat = _sparse.csr_matrix((p, cols, pattern.indptr), shape=pattern.shape)
+    shared: list[np.ndarray] = []  # the score adjoint, formed once for both halves
 
-    def vjp_scores(g):
-        gp = np.einsum("ij,ij->i", g[rows], x.data[pattern.indices])
-        dot = np.bincount(rows, weights=gp * p, minlength=n)
-        return (p * (gp - dot[rows]))[:, None]
+    def scores_grad(g):
+        if not shared:
+            gp = np.einsum("ij,ij->i", g[rows], x.data[cols])
+            dot = np.bincount(rows, weights=gp * p, minlength=n)
+            shared.append(p * (gp - dot[rows]) * np.where(positive, 1.0, 0.2))
+        return shared[0]
 
-    return _record(out, [(scores, vjp_scores), (x, lambda g: mat.T @ g)])
+    return _record(Tensor(mat @ x.data), [
+        (s_self, lambda g: np.bincount(rows, weights=scores_grad(g), minlength=n)[:, None]),
+        (s_nbr, lambda g: np.bincount(cols, weights=scores_grad(g), minlength=m)[:, None]),
+        (x, lambda g: mat.T @ g),
+    ])
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:

@@ -111,6 +111,8 @@ def parse_run_config(path: str, preset_override: str | None = None) -> dict:
     train_section = dict(raw.get("train", {}))
     _reject_unknown(train_section, _TRAIN_KEYS, "train")
     if "lambda" in train_section:
+        if "lam" in train_section:
+            raise ConfigError(f"{path}: train section sets both 'lam' and 'lambda'")
         train_section["lam"] = train_section.pop("lambda")
 
     preset = raw.get("preset")
@@ -201,6 +203,8 @@ def format_aggregate(agg, base_seed: int, per_run: list[FairnessReport]) -> str:
 
 
 def cmd_train(args) -> int:
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     spec = parse_run_config(args.config, preset_override=args.preset)
     data, config = spec["data"], spec["config"]
     ev = spec["eval"]

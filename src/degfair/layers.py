@@ -26,14 +26,12 @@ from degfair.autodiff import (
     add,
     add_scaled,
     affine,
+    attention_matmul,
     dropout,
     film_debias,
-    gather_rows,
-    leaky_relu,
     matmul,
     relu,
     scalar_mul,
-    softmax_matmul,
     softmax_rows,
     sparse_matmul,
 )
@@ -321,15 +319,10 @@ def input_features(g: Graph, feature_norm: str = "none") -> Tensor:
     raise ValueError(f'feature_norm must be "none" or "l2", got {feature_norm!r}')
 
 
-def _gat_head(
-    h_prev: Tensor, head: GatHead, pattern: FixedSparse, centers: np.ndarray
-) -> Tensor:
+def _gat_head(h_prev: Tensor, head: GatHead, pattern: FixedSparse) -> Tensor:
     """One attention head: ``S @ z`` with S the softmax-normalized scores on A+I."""
     z = matmul(h_prev, head.w)
-    s_self = matmul(z, head.att_self)
-    s_nbr = matmul(z, head.att_nbr)
-    logits = add(gather_rows(s_self, centers), gather_rows(s_nbr, pattern.fwd.indices))
-    return softmax_matmul(leaky_relu(logits, 0.2), pattern, z)
+    return attention_matmul(matmul(z, head.att_self), matmul(z, head.att_nbr), pattern, z)
 
 
 def base_aggregate(
@@ -342,7 +335,7 @@ def base_aggregate(
     propagation of h @ w. GraphSAGE: separate self and mean-neighbor
     transforms. GAT: per head, the row softmax of attention scores over
     each node's closed neighborhood weights ``ops.agg``'s pattern
-    (:func:`degfair.autodiff.softmax_matmul`); heads are averaged. Each
+    (:func:`degfair.autodiff.attention_matmul`); heads are averaged. Each
     aggregator ends with an output bias row; without one, a ReLU network
     is positively homogeneous and argmax-blind to the per-node magnitude
     that carries degree information.
@@ -358,12 +351,10 @@ def base_aggregate(
                 matmul(h_prev, omega["w_self"]), matmul(neigh, omega["w_neigh"])
             )
         else:
-            indptr = ops.agg.fwd.indptr
-            centers = np.repeat(np.arange(indptr.shape[0] - 1), np.diff(indptr))
             heads = omega["heads"]
-            out = _gat_head(h_prev, heads[0], ops.agg, centers)
+            out = _gat_head(h_prev, heads[0], ops.agg)
             for head in heads[1:]:
-                out = add(out, _gat_head(h_prev, head, ops.agg, centers))
+                out = add(out, _gat_head(h_prev, head, ops.agg))
             if len(heads) > 1:
                 out = scalar_mul(out, 1.0 / len(heads))
         return add(out, omega["b"])

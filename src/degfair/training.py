@@ -14,8 +14,9 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import json
+import math
+import numbers
 import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,6 +70,12 @@ class ModelFileError(ValueError):
 
 _KINDS = ("gcn", "sage", "gat")
 _MODELS = ("degfair", "base")
+_INT_FIELDS = ("hidden_dim", "num_layers", "r_context", "r_eval", "epochs", "patience",
+               "seed", "gat_heads")
+
+
+def _finite_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass
@@ -102,6 +109,19 @@ class TrainConfig:
     gat_heads: int = 1
 
     def __post_init__(self):
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.dropout_input, bool):
+            raise ValueError(f"dropout_input must be true or false, got {self.dropout_input!r}")
+        for name in ("eps", "mu", "lam"):
+            if not _finite_real(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
+        if self.threshold != "mean" and not _finite_real(self.threshold):
+            raise ValueError(f'threshold must be a finite number or "mean", got {self.threshold!r}')
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.base_gnn not in _KINDS:
             raise ValueError(f"base_gnn must be one of {_KINDS}, got {self.base_gnn!r}")
         if self.model not in _MODELS:
@@ -118,8 +138,6 @@ class TrainConfig:
             raise ValueError("num_layers, hidden_dim, and gat_heads must be >= 1")
         if self.r_context < 1 or self.r_eval < 1:
             raise ValueError("r_context and r_eval must be >= 1")
-        if isinstance(self.threshold, str) and self.threshold != "mean":
-            raise ValueError(f'threshold must be a number or "mean", got {self.threshold!r}')
 
     def resolve_threshold(self, g: Graph) -> float:
         return mean_degree(g) if self.threshold == "mean" else float(self.threshold)
@@ -264,12 +282,6 @@ def train(
     groups, ops, feats = _setup(g, config)
     low_tr = np.intersect1d(groups.groups[0], split.train)
     high_tr = np.intersect1d(groups.groups[1], split.train)
-    if config.model == "degfair" and (low_tr.size == 0 or high_tr.size == 0):
-        warnings.warn(
-            "a degree group has no training nodes; parity and cross-context "
-            "terms are skipped",
-            stacklevel=2,
-        )
 
     rng = np.random.default_rng(config.seed)
     params = init_params(config, g.feature_dim, g.num_classes, rng)
@@ -385,8 +397,11 @@ def save_model(params: ModelParams, config: TrainConfig, path: str) -> None:
 
 def load_model(path: str) -> tuple[ModelParams, TrainConfig]:
     """Load a model file; raises ModelFileError on corruption or mismatch."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ModelFileError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
     if not lines or lines[0] != _MAGIC:
         raise ModelFileError(
             f"{path}: not a {_MAGIC!r} file"
@@ -408,13 +423,15 @@ def load_model(path: str) -> tuple[ModelParams, TrainConfig]:
         if len(header) != 4 or header[0] != "tensor":
             raise ModelFileError(f"{path}: bad tensor header at line {i + 1}")
         name = header[1]
+        if name in tensors:
+            raise ModelFileError(f"{path}: tensor {name} appears twice (line {i + 1})")
         try:
             rows, cols = int(header[2]), int(header[3])
         except ValueError:
             raise ModelFileError(
                 f"{path}: tensor {name} has a non-integer shape at line {i + 1}"
             ) from None
-        block = lines[i + 1 : i + 1 + rows]
+        block = lines[i + 1 : min(i + 1 + rows, len(lines) - 1)]
         if len(block) < rows:
             raise ModelFileError(f"{path}: truncated tensor {name}")
         try:

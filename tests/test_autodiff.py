@@ -69,6 +69,12 @@ def _backward_on_untracked_loss():
     tape.backward(loss)
 
 
+def _attention_2x3(self_rows, self_cols, nbr_rows, x_rows):
+    # A 2 x 3 pattern needs (2, 1) and (3, 1) score halves and 3 rows of x.
+    ad.attention_matmul(Tensor(np.ones((self_rows, self_cols))), Tensor(np.ones((nbr_rows, 1))),
+                        ad.FixedSparse(np.ones((2, 3))), Tensor(np.ones((x_rows, 2))))
+
+
 ONES_2X3, ONES_3X2 = Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2)))
 
 REJECTIONS = [
@@ -79,11 +85,14 @@ REJECTIONS = [
                  "add_scaled shape", id="add_scaled"),
     pytest.param(lambda: ad.sparse_matmul(ad.FixedSparse(np.eye(3)), ONES_2X3), ValueError,
                  "sparse_matmul shape", id="sparse_matmul"),
-    pytest.param(lambda: ad.softmax_matmul(ONES_3X2, ad.FixedSparse(np.eye(3)), ONES_3X2),
-                 ValueError, r"\(3, 1\) scores", id="softmax_matmul-scores"),
-    pytest.param(lambda: ad.softmax_matmul(Tensor(np.ones((3, 1))), ad.FixedSparse(np.eye(3)),
-                                           ONES_2X3),
-                 ValueError, "softmax_matmul shape", id="softmax_matmul-x"),
+    pytest.param(lambda: _attention_2x3(3, 1, 3, 3), ValueError,
+                 r"\(2, 1\) and \(3, 1\) scores, got \(3, 1\)", id="attention_matmul-self-rows"),
+    pytest.param(lambda: _attention_2x3(2, 2, 3, 3), ValueError,
+                 r"\(2, 1\) and \(3, 1\) scores, got \(2, 2\)", id="attention_matmul-self-width"),
+    pytest.param(lambda: _attention_2x3(2, 1, 2, 3), ValueError,
+                 r"got \(2, 1\) and \(2, 1\)", id="attention_matmul-nbr-rows"),
+    pytest.param(lambda: _attention_2x3(2, 1, 3, 2), ValueError,
+                 r"attention_matmul shape mismatch: \(2, 3\) @ \(2, 2\)", id="attention_matmul-x"),
     pytest.param(lambda: ad.masked_sq_norm(ONES_2X3, np.ones(3)), ValueError,
                  "row weight count", id="masked_sq_norm"),
     pytest.param(_film_debias_with_bad_net, ValueError, "film_debias shape", id="film_debias-net"),
@@ -219,7 +228,7 @@ def test_film_debias_property_matches_dense_oracle_and_fd(case):
 
 
 @st.composite
-def softmax_matmul_cases(draw):
+def attention_matmul_cases(draw):
     rows, cols, width = draw(st.integers(1, 7)), draw(st.integers(1, 7)), draw(st.integers(1, 4))
     # Density 0 gives nnz = 0; lower densities leave rows with no entries.
     density = draw(st.sampled_from([0.0, 0.2, 0.5, 1.0]))
@@ -227,64 +236,83 @@ def softmax_matmul_cases(draw):
     return rows, cols, width, density, seed
 
 
-def _dense_softmax_matmul(mask, scores, x, cot):
-    """Output and adjoints of S @ x, S the per-row softmax over the mask, densely."""
+def _attention_scores(rng, mask):
+    """A pattern and score halves whose logits lie at least 0.25 from the kink.
+
+    Even columns score positive, odd ones negative, and a row with two or
+    more entries gets columns 0 and 1, so its logits take both signs. (A row
+    whose logits share a sign has a softmax that does not move with
+    s_self[i]: the adjoint is exactly 0 and central differences read only
+    rounding, which ``fd_check``'s relative error cannot certify.)
+    """
+    rows, cols = mask.shape
+    mask = mask.copy()
+    if cols > 1:
+        mask[mask.sum(axis=1) > 1, :2] = True
+    sign = np.where(np.arange(cols) % 2 == 0, 1.0, -1.0)[:, None]
+    s_self = Tensor(rng.uniform(-0.25, 0.25, (rows, 1)), requires_grad=True)
+    s_nbr = Tensor(sign * rng.uniform(0.5, 1.0, (cols, 1)), requires_grad=True)
+    return _pattern_operator(mask), s_self, s_nbr
+
+
+def _dense_attention(mask, s_self, s_nbr, x, cot):
+    """Output and the three adjoints of GAT attention on the mask, row by row."""
+    logits = s_self + s_nbr.T
+    slope = np.where(logits > 0, 1.0, 0.2)
     probs = np.zeros(mask.shape)
-    g_scores = np.zeros(mask.shape)
+    g_logits = np.zeros(mask.shape)
     g_probs = cot @ x.T
     for i in range(mask.shape[0]):
         on = mask[i]
         if on.any():
-            e = np.exp(scores[i, on] - scores[i, on].max())
+            v = logits[i, on] * slope[i, on]
+            e = np.exp(v - v.max())
             p = e / e.sum()
             probs[i, on] = p
-            g_scores[i, on] = p * (g_probs[i, on] - p @ g_probs[i, on])
-    return probs @ x, g_scores, probs.T @ cot
+            g_logits[i, on] = p * (g_probs[i, on] - p @ g_probs[i, on]) * slope[i, on]
+    return (probs @ x, g_logits.sum(axis=1, keepdims=True),
+            g_logits.sum(axis=0)[:, None], probs.T @ cot)
 
 
 @settings(max_examples=60, deadline=None)
-@given(softmax_matmul_cases())
-@example(case=(7, 6, 3, 0.5, 3874))
+@given(attention_matmul_cases())
 @example(case=(3, 2, 2, 0.0, 0))
-def test_softmax_matmul_property_matches_dense_oracle_and_fd(case):
+def test_attention_matmul_property_matches_dense_oracle_and_fd(case):
     rows, cols, width, density, seed = case
     rng = np.random.default_rng(seed)
-    mask = rng.random((rows, cols)) < density
-    op = _pattern_operator(mask)
-    scores = tensor(rng, op.fwd.nnz, 1)
+    op, s_self, s_nbr = _attention_scores(rng, rng.random((rows, cols)) < density)
+    mask = op.fwd.toarray() != 0
     x = tensor(rng, cols, width)
     cot = rng.standard_normal((rows, width))
-    row_ids = np.repeat(np.arange(rows), np.diff(op.fwd.indptr))
-    cells = np.zeros((rows, cols))
-    cells[row_ids, op.fwd.indices] = scores.data[:, 0]
-    expect, g_scores, g_x = _dense_softmax_matmul(mask, cells, x.data, cot)
+    logits = s_self.data + s_nbr.data.T
+    assert np.all(np.abs(logits[mask]) >= 0.25)
+    expect, g_self, g_nbr, g_x = _dense_attention(mask, s_self.data, s_nbr.data, x.data, cot)
 
     def program():
-        return ad.sum_all(ad.mul(ad.softmax_matmul(scores, op, x), Tensor(cot)))
+        return ad.sum_all(ad.mul(ad.attention_matmul(s_self, s_nbr, op, x), Tensor(cot)))
 
-    out = ad.softmax_matmul(scores, op, x)
+    out = ad.attention_matmul(s_self, s_nbr, op, x)
     assert out.shape == (rows, width)
     assert np.allclose(out.data, expect, rtol=0.0, atol=1e-12)
     with Tape() as tape:
         loss = program()
     tape.backward(loss)
-    assert np.allclose(x.grad, g_x, rtol=0.0, atol=1e-12)
-    assert np.allclose(scores.grad[:, 0], g_scores[row_ids, op.fwd.indices],
-                       rtol=0.0, atol=1e-12)
+    for got, want in ((s_self.grad, g_self), (s_nbr.grad, g_nbr), (x.grad, g_x)):
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12)
     # The program is linear in x, so central differences are exact at any
-    # step and a large one keeps their rounding small; for the scores a step
-    # of 1e-3 balances rounding against truncation. At the default 1e-5,
-    # gradients near 1e-5 can pass the bound (the first example reads 4.1e-6).
+    # step and a large one keeps their rounding small. On the scores a step
+    # of 1e-4 balances rounding against truncation, and every logit is at
+    # least 2500 steps from the kink.
     assert ad.fd_check(program, [x], eps=1e-2, rng=rng) < 1e-6
-    assert ad.fd_check(program, [scores], eps=1e-3, rng=rng) < 1e-6
+    assert ad.fd_check(program, [s_self, s_nbr], eps=1e-4, rng=rng) < 1e-6
 
 
-def test_softmax_matmul_subtracts_the_row_max():
-    # Row 0 has one entry (weight 1); row 1's equal scores give weights 1/2,
-    # exactly, however large they are.
+def test_attention_matmul_subtracts_the_row_max():
+    # Row 0 has one entry (weight 1); row 1's equal logits of 1000 give
+    # weights 1/2, exactly, however large they are.
     op = _pattern_operator(np.array([[True, False], [True, True]]))
     x = Tensor([[1.0, 1.0, 1.0], [3.0, 3.0, 3.0]])
-    out = ad.softmax_matmul(Tensor([[5.0], [1000.0], [1000.0]]), op, x)
+    out = ad.attention_matmul(Tensor([[5.0], [500.0]]), Tensor([[500.0], [500.0]]), op, x)
     assert out.data.tolist() == [[1.0] * 3, [2.0] * 3]
 
 
@@ -431,11 +459,10 @@ def op_programs(rng):
     idx = rng.integers(0, n, size=n + 2)
     sp = _random_csr(rng, n + 1, n)
     sp_cot = Tensor(rng.standard_normal((n + 1, d)))
-    # Scores on a random pattern whose row 0 is empty.
+    # Attention on a random pattern whose row 0 is empty.
     mask = rng.random((n + 1, n)) < 0.5
     mask[0] = False
-    score_op = _pattern_operator(mask)
-    scores = tensor(rng, score_op.fwd.nnz, 1)
+    score_op, s_self, s_nbr = _attention_scores(rng, mask)
     gathered_cot = Tensor(rng.standard_normal((idx.size, d)))
     mean_cot = Tensor(rng.standard_normal((1, d)))
     bias_k = tensor(rng, 1, k)
@@ -458,7 +485,6 @@ def op_programs(rng):
         "mul": (lambda: through(ad.mul(a, c), cot), [a, c]),
         "scalar_mul": (lambda: through(ad.scalar_mul(a, -1.7), cot), [a]),
         "relu": (lambda: through(ad.relu(kinky), cot), [kinky]),
-        "leaky_relu": (lambda: through(ad.leaky_relu(kinky), cot), [kinky]),
         "softmax_rows": (lambda: through(ad.softmax_rows(a), cot), [a]),
         "log": (lambda: through(ad.log(pos), cot), [pos]),
         "clamp_min": (lambda: through(ad.clamp_min(kinky, 0.05), cot), [kinky]),
@@ -466,9 +492,9 @@ def op_programs(rng):
         "mean_rows": (lambda: through(ad.mean_rows(a), mean_cot), [a]),
         "sq_norm": (lambda: ad.sq_norm(a), [a]),
         "gather_rows": (lambda: through(ad.gather_rows(a, idx), gathered_cot), [a]),
-        "softmax_matmul": (
-            lambda: through(ad.softmax_matmul(scores, score_op, a), sp_cot),
-            [scores, a],
+        "attention_matmul": (
+            lambda: through(ad.attention_matmul(s_self, s_nbr, score_op, a), sp_cot),
+            [s_self, s_nbr, a],
         ),
         "sparse_matmul": (lambda: through(ad.sparse_matmul(sp, a), sp_cot), [a]),
         "affine": (lambda: through(ad.affine(a, b, Tensor(np.zeros((1, k)))

@@ -1,6 +1,9 @@
 import json
 import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -433,6 +436,16 @@ EXIT_MATRIX = [
     pytest.param(lambda t, m: _train(t, m, train_keys={"r_context": 0}), 2,
                  id="train-r-context"),
     pytest.param(lambda t, m: _train(t, m, "--runs", "0"), 2, id="train-runs-flag"),
+    pytest.param(lambda t, m: _train(t, m, "--seed", "-2"), 2, id="train-seed-flag-negative"),
+    # Config errors (exit 2): train values of the wrong type.
+    *[pytest.param(lambda t, m, kv=kv: _train(t, m, train_keys=dict([kv])), 2,
+                   id=f"train-{kv[0]}-{kv[1]}")
+      for kv in [("hidden_dim", 8.5), ("epochs", 2.5), ("r_context", 1.5), ("seed", 1.5),
+                 ("gat_heads", 2.0), ("num_layers", 2.0), ("hidden_dim", True), ("seed", -1),
+                 ("eps", float("nan")), ("threshold", float("nan")),
+                 ("dropout_input", "no")]],
+    pytest.param(lambda t, m: _train(t, m, train_keys={"lam": 1, "lambda": 2}), 2,
+                 id="train-lam-and-lambda"),
     # Config errors (exit 2): the run-config file itself is malformed.
     pytest.param(lambda t, m: _train_text(t, '{"data": '), 2, id="train-invalid-json"),
     pytest.param(lambda t, m: _train_text(t, "[]"), 2, id="train-config-not-object"),
@@ -469,6 +482,32 @@ def test_train_divergence_exits_4(tmp_path, capsys):
     assert err.startswith("training diverged: ")
     assert "Traceback" not in err
     assert list((tmp_path / "out").glob("model_seed*.txt")) == []
+
+
+def test_train_reruns_in_fresh_processes_are_byte_identical(tmp_path):
+    # The reproducibility contract holds at a fixed BLAS thread count; two
+    # threads make the BLAS calls split their work.
+    data = write_dataset(tmp_path, n=200)
+    cfg = write_config(tmp_path, data, epochs=4, patience=4)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2",
+           "MKL_NUM_THREADS": "2",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    outs, stdouts = [tmp_path / "a", tmp_path / "b"], []
+    for out in outs:
+        done = subprocess.run(
+            [sys.executable, "-m", "degfair.cli", "train", "--config", str(cfg),
+             "--runs", "2", "--out", str(out)],
+            env=env, capture_output=True, timeout=600, check=True,
+        )
+        stdouts.append(done.stdout)
+    assert stdouts[0] == stdouts[1] and b"runs=2" in stdouts[0]
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == ["aggregate.txt", "model_seed7.txt", "model_seed8.txt",
+                     "report_seed7.txt", "report_seed8.txt"]
+    assert sorted(p.name for p in outs[1].iterdir()) == names
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 @pytest.mark.filterwarnings("error")

@@ -1,7 +1,13 @@
+import importlib.util
+import json
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from degfair.graphs import generalized_degree, split_nodes, synth_generate
+from degfair.cli import main
+from degfair.graphs import generalized_degree, save_graph_files, split_nodes, synth_generate
 from degfair.layers import base_forward, model_forward
 from degfair.training import (
     ModelFileError,
@@ -41,6 +47,28 @@ def test_config_validation():
         TrainConfig(threshold="median")
     with pytest.raises(ValueError):
         TrainConfig(feature_norm="l7")
+
+
+@pytest.mark.parametrize("field,value", [
+    ("hidden_dim", 8.5), ("hidden_dim", True), ("num_layers", 2.0), ("r_context", 1.5),
+    ("r_eval", "2"), ("epochs", 2.5), ("patience", None), ("seed", 1.5), ("gat_heads", 2.0),
+    ("seed", -1), ("eps", float("nan")), ("mu", float("inf")), ("lam", "0.1"), ("lam", True),
+    ("threshold", float("nan")), ("threshold", -float("inf")), ("threshold", False),
+    ("dropout_input", "no"), ("dropout_input", 1),
+])
+def test_config_rejects_values_of_the_wrong_type(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        TrainConfig(**{field: value})
+
+
+def test_config_accepts_numpy_and_json_numbers():
+    cfg = TrainConfig(hidden_dim=np.int64(4), num_layers=np.int32(1), seed=np.uint8(3),
+                      eps=np.float64(0.5), mu=np.float32(0.25), lam=0, threshold=np.int64(2))
+    assert (cfg.hidden_dim, cfg.num_layers, cfg.seed, cfg.eps) == (4, 1, 3, 0.5)
+    record = '{"epochs": 7, "eps": 1, "lam": 0.5, "threshold": 3, "seed": 0, "lr": 1e150}'
+    cfg = TrainConfig(**json.loads(record))
+    assert (cfg.epochs, cfg.eps, cfg.threshold, cfg.lr) == (7, 1, 3, 1e150)
+    assert TrainConfig(lr=np.inf).lr == np.inf  # the divergence tests need any step size
 
 
 def test_config_threshold_resolution():
@@ -358,3 +386,163 @@ def test_divergence_names_the_first_non_finite_parameter():
     ), warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         train(g, split, cfg)
+
+
+def test_every_node_high_still_trains_the_cross_context_term():
+    # threshold -1 puts every node in the high group: the parity term is 0
+    # and says so, while the cross-context term stays on and is trained.
+    g, split = small_setup()
+    cfg = quick_config(threshold=-1.0, lam=1.0, epochs=3, patience=3)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _, history = train(g, split, cfg)
+    assert len(history.losses) == 3
+    assert all(b.l2 == 0.0 and b.l3 > 0.0 for b in history.losses)
+    messages = [str(w.message) for w in caught]
+    assert any("group-parity loss is 0" in m for m in messages)
+    assert not any("cross-context" in m for m in messages)
+
+
+# ------------------------------------------------- model files, bad contents
+
+
+@pytest.fixture(scope="module")
+def saved_model(tmp_path_factory):
+    """A small untrained GCN model file and a graph it can evaluate."""
+    root = tmp_path_factory.mktemp("model")
+    cfg = quick_config(epochs=1)
+    params = init_params(cfg, 4, 2, np.random.default_rng(3))
+    path = root / "model.txt"
+    save_model(params, cfg, str(path))
+    g = synth_generate(40, 2, 0.9, 4, seed=1)
+    graph = [str(root / name) for name in ("edges.tsv", "features.csv", "labels.txt")]
+    save_graph_files(g, *graph)
+    return {"path": path, "params": params, "graph": graph}
+
+
+def _header(lines, name):
+    return next(i for i, line in enumerate(lines) if line.startswith(f"tensor {name} "))
+
+
+def _set_config(lines, **fields):
+    record = json.loads(lines[1][len("config "):])
+    record.update(fields)
+    lines[1] = "config " + json.dumps(record, sort_keys=True)
+
+
+def _drop_block(lines, name):
+    i = _header(lines, name)
+    del lines[i : i + 1 + int(lines[i].split()[2])]
+
+
+def _edit(lines, name, offset, text):
+    lines[_header(lines, name) + offset] = text
+
+
+MODEL_EDITS = [
+    pytest.param(lambda ls: ls.__setitem__(1, "konfig {}"), "missing config record",
+                 id="no-config-record"),
+    pytest.param(lambda ls: ls.__setitem__(1, "config {"), "bad config record",
+                 id="config-not-json"),
+    pytest.param(lambda ls: _set_config(ls, hidden_dim=8.5),
+                 "bad config record: hidden_dim must be an integer", id="config-hidden-dim-8.5"),
+    pytest.param(lambda ls: _edit(ls, "layer0.omega.w", 0, "tensor layer0.omega.w 4"),
+                 "bad tensor header at line", id="short-header"),
+    pytest.param(lambda ls: _edit(ls, "layer0.omega.w", 0, "tensor layer0.omega.w 4 x"),
+                 "layer0.omega.w has a non-integer shape", id="non-integer-shape"),
+    pytest.param(lambda ls: _edit(ls, "layer0.omega.w", 0, "tensor layer0.omega.w -1 4"),
+                 r"layer0.omega.w has shape \(0,\), header says \(-1, 4\)", id="negative-rows"),
+    pytest.param(lambda ls: ls.pop(-2), "truncated tensor layer1.film_shift.b",
+                 id="truncated-tensor"),
+    pytest.param(lambda ls: _edit(ls, "layer0.omega.b", 1, "0 0 0 zero"),
+                 "non-numeric data in tensor layer0.omega.b", id="non-numeric"),
+    pytest.param(lambda ls: _edit(ls, "layer0.omega.b", 0, "tensor layer0.omega.b 1 5"),
+                 r"layer0.omega.b has shape \(1, 4\), header says \(1, 5\)", id="row-width"),
+    pytest.param(lambda ls: _drop_block(ls, "layer0.debias_low.w"),
+                 "missing tensor layer0.debias_low.w", id="missing-sizing-tensor"),
+    pytest.param(lambda ls: _drop_block(ls, "layer1.film_shift.w"),
+                 "missing tensor layer1.film_shift.w", id="missing-tensor"),
+    pytest.param(lambda ls: ls.__setitem__(slice(-1, -1), ["tensor extra 1 1", "0.5"]),
+                 r"unexpected extra tensors \['extra'\]", id="extra-tensor"),
+    pytest.param(lambda ls: ls.__setitem__(slice(-1, -1), ls[2:4]),
+                 r"tensor layer0.omega.b appears twice \(line \d+\)", id="repeated-tensor"),
+    pytest.param(lambda ls: ls.__setitem__(slice(_header(ls, "layer0.omega.b"),
+                                                 _header(ls, "layer0.omega.b") + 2),
+                                           ["tensor layer0.omega.b 1 3", "0 0 0"]),
+                 r"layer0.omega.b has shape \(1, 3\), the config needs \(1, 4\)",
+                 id="shape-against-config"),
+]
+
+
+@pytest.mark.parametrize("edit,message", MODEL_EDITS)
+def test_load_rejects_each_malformed_part(saved_model, tmp_path, edit, message):
+    lines = saved_model["path"].read_text().splitlines()
+    edit(lines)
+    path = tmp_path / "bad.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ModelFileError, match=message):
+        load_model(str(path))
+
+
+def test_load_rejects_bytes_that_are_not_utf8(saved_model, tmp_path):
+    raw = saved_model["path"].read_bytes()
+    path = tmp_path / "bad.txt"
+    path.write_bytes(raw[:100] + b"\xff" + raw[101:])
+    with pytest.raises(ModelFileError, match="not valid UTF-8 at byte 100"):
+        load_model(str(path))
+
+
+def test_fuzzed_model_files_load_or_raise_model_file_error(saved_model, tmp_path, capsys):
+    raw = saved_model["path"].read_bytes()
+    lines = raw.splitlines(keepends=True)
+    variants = []
+    # Every cut at a line boundary, as is and with the end marker put back.
+    for k in range(len(lines)):
+        variants += [b"".join(lines[:k]), b"".join(lines[:k]) + b"end\n"]
+    # Byte flips at a spread of positions: low bit, case/space bit, high bit.
+    for pos in range(0, len(raw), max(1, len(raw) // 150)):
+        for mask in (0x01, 0x20, 0x80):
+            variants.append(raw[:pos] + bytes([raw[pos] ^ mask]) + raw[pos + 1:])
+    path = tmp_path / "fuzz.txt"
+    rejected = []
+    for variant in variants:
+        path.write_bytes(variant)
+        try:
+            load_model(str(path))
+        except ModelFileError:  # any other exception fails the test
+            rejected.append(variant)
+    assert len(rejected) > len(variants) // 2
+    # The CLI reports a sample of the rejected files as data errors (exit 3).
+    edges, features, labels = saved_model["graph"]
+    for variant in rejected[:: max(1, len(rejected) // 12)]:
+        path.write_bytes(variant)
+        capsys.readouterr()
+        code = main(["eval", "--model", str(path), "--edges", edges,
+                     "--features", features, "--labels", labels])
+        err = capsys.readouterr().err
+        assert code == 3 and err.startswith("data error: ") and "Traceback" not in err
+
+
+def test_reordered_model_file_loads_by_name_bit_identically(saved_model, tmp_path):
+    lines = saved_model["path"].read_text().splitlines()
+    starts = [i for i, line in enumerate(lines) if line.startswith("tensor ")]
+    blocks = [lines[a:b] for a, b in zip(starts, starts[1:] + [len(lines) - 1])]
+    path = tmp_path / "reordered.txt"
+    path.write_text("\n".join(lines[:2] + sum(blocks[::-1], []) + ["end"]) + "\n")
+    params, _ = load_model(str(path))
+    expected = dict(saved_model["params"].named_tensors())
+    for name, t in params.named_tensors():
+        assert t.data.tobytes() == expected[name].data.tobytes(), name
+
+
+def test_benchmark_eval_model_config_still_loads(tmp_path):
+    # perfbench/gen.py writes the eval workload's model file on its own; the
+    # library must keep reading its config record.
+    gen_path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", gen_path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    path = tmp_path / "model.txt"
+    gen.write_model(str(path), gen.model_tensors(8, 1))
+    _, cfg = load_model(str(path))
+    assert cfg == TrainConfig(**gen.EVAL_MODEL)
