@@ -25,8 +25,8 @@ print("deg_2 =", generalized_degree(g, 2))  # number of 2-walks per node
 
 # deg_2 counts walks, not distinct nodes: node 0 reaches {0, 2, 3} in two
 # steps via node 1, so its count is 3 even though it has a single neighbor.
-offsets, members = local_contexts(g, 2)
-print("2-hop ball around node 0:", members[offsets[0] : offsets[1]])
+ball = local_contexts(g, 2)  # the boolean CSR pattern of (A+I)^2
+print("2-hop ball around node 0:", ball.indices[ball.indptr[0] : ball.indptr[1]])
 
 print("\n== long-tailed synthetic graph with planted degree bias")
 big = synth_generate(n=300, attach=2, label_bias=0.9, feat_dim=8, seed=7)

@@ -40,6 +40,8 @@ from degfair.training import (
     ModelFileError,
     TrainConfig,
     TrainingDivergedError,
+    check_finite_real,
+    check_integer,
     load_model,
     predict,
     save_model,
@@ -66,6 +68,19 @@ def _reject_unknown(mapping: dict, allowed: set, where: str) -> None:
     unknown = sorted(set(mapping) - allowed)
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+
+
+def _section(raw: dict, name: str, allowed: set, path: str) -> dict:
+    section = raw.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{path}: {name!r} section must be a JSON object")
+    _reject_unknown(section, allowed, name)
+    return dict(section)
+
+
+def _check_path(value, name: str, path: str) -> None:
+    if not isinstance(value, str):
+        raise ConfigError(f"{path}: {name} must be a path string, got {value!r}")
 
 
 def _check_positive(value: int, name: str) -> None:
@@ -107,9 +122,10 @@ def parse_run_config(path: str, preset_override: str | None = None) -> dict:
     missing = sorted(_DATA_KEYS - set(data))
     if missing:
         raise ConfigError(f"{path}: data section missing {', '.join(missing)}")
+    for key in sorted(_DATA_KEYS):
+        _check_path(data[key], f"data.{key}", path)
 
-    train_section = dict(raw.get("train", {}))
-    _reject_unknown(train_section, _TRAIN_KEYS, "train")
+    train_section = _section(raw, "train", _TRAIN_KEYS, path)
     if "lambda" in train_section:
         if "lam" in train_section:
             raise ConfigError(f"{path}: train section sets both 'lam' and 'lambda'")
@@ -117,7 +133,7 @@ def parse_run_config(path: str, preset_override: str | None = None) -> dict:
 
     preset = raw.get("preset")
     if preset is not None:
-        if preset not in PRESETS:
+        if not isinstance(preset, str) or preset not in PRESETS:
             raise ConfigError(
                 f"{path}: unknown preset {preset!r} (choose from {sorted(PRESETS)})"
             )
@@ -125,26 +141,23 @@ def parse_run_config(path: str, preset_override: str | None = None) -> dict:
         merged.update(train_section)
         train_section = merged
 
-    eval_section = dict(raw.get("eval", {}))
-    _reject_unknown(eval_section, _EVAL_KEYS, "eval")
+    eval_section = _section(raw, "eval", _EVAL_KEYS, path)
     try:
         if "seed" in raw:
-            train_section.setdefault("seed", int(raw["seed"]))
+            check_integer("seed", raw["seed"])
+            train_section.setdefault("seed", raw["seed"])
         config = TrainConfig(**train_section)
-        eval_settings = {
-            "r_eval": int(eval_section.get("r_eval", config.r_eval)),
-            "fraction": float(eval_section.get("fraction", 0.2)),
-            "num_runs": int(eval_section.get("num_runs", 1)),
-        }
-        _check_positive(eval_settings["r_eval"], "eval.r_eval")
+        eval_settings = {"r_eval": config.r_eval, "fraction": 0.2, "num_runs": 1, **eval_section}
+        for key in ("r_eval", "num_runs"):
+            check_integer(f"eval.{key}", eval_settings[key])
+            _check_positive(eval_settings[key], f"eval.{key}")
+        check_finite_real("eval.fraction", eval_settings["fraction"])
         _check_fraction(eval_settings["fraction"], "eval.fraction")
-        _check_positive(eval_settings["num_runs"], "eval.num_runs")
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: bad settings: {exc}") from None
 
-    output = raw.get("output", {})
-    _reject_unknown(output, {"dir"}, "output")
-    out_dir = output.get("dir", "out")
+    out_dir = _section(raw, "output", {"dir"}, path).get("dir", "out")
+    _check_path(out_dir, "output.dir", path)
     return {
         "data": data,
         "config": config,

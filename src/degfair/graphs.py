@@ -24,6 +24,7 @@ __all__ = [
     "read_edges",
     "read_labels",
     "save_graph_files",
+    "adjacency",
     "generalized_degree",
     "local_contexts",
     "mean_degree",
@@ -301,8 +302,8 @@ def save_graph_files(
         fh.write("".join(map("{}\n".format, g.labels.tolist())))
 
 
-def _adjacency(g: Graph) -> sparse.csr_matrix:
-    """The boolean adjacency A as a CSR matrix over the graph's own arrays."""
+def adjacency(g: Graph) -> sparse.csr_matrix:
+    """The boolean adjacency A as a CSR matrix with the graph's sorted rows."""
     n = g.num_nodes
     return sparse.csr_matrix(
         (np.ones(g.csr_neighbors.size, dtype=bool), g.csr_neighbors, g.csr_offsets),
@@ -319,25 +320,25 @@ def generalized_degree(g: Graph, r: int = 1) -> np.ndarray:
     """
     if r < 1:
         raise ValueError(f"hop count r must be >= 1, got {r}")
-    adj = _adjacency(g)
+    adj = adjacency(g)
     x = np.ones(g.num_nodes, dtype=np.float64)
     for _ in range(r):
         x = adj @ x
     return x
 
 
-def local_contexts(g: Graph, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """r-hop local context of every node, as CSR (offsets, members).
+def local_contexts(g: Graph, r: int) -> sparse.csr_matrix:
+    """r-hop local context of every node: the boolean CSR pattern of (A+I)^r.
 
-    The contexts are the nonzero pattern of (A+I)^r: members of node v are
-    ``members[offsets[v]:offsets[v+1]]``, sorted, and always include v. The
-    pattern is built by r-1 boolean sparse products of A+I, with A the same
-    adjacency :func:`generalized_degree` uses, so time and memory scale with
-    the nonzeros each product builds, about sum_v |N_r(v)| for the last one.
+    The members of node v's context are the column indices of row v,
+    ``indices[indptr[v]:indptr[v+1]]``, sorted, and always include v. The
+    pattern is built by r-1 boolean sparse products of A+I, with A the
+    :func:`adjacency`, so time and memory scale with the nonzeros each
+    product builds, about sum_v |N_r(v)| for the last one.
     """
     if r < 1:
         raise ValueError(f"radius must be >= 1, got {r}")
-    step = _adjacency(g) + sparse.identity(g.num_nodes, dtype=bool, format="csr")
+    step = adjacency(g) + sparse.identity(g.num_nodes, dtype=bool, format="csr")
     reach = step
     for _ in range(r - 1):
         reach = reach @ step  # boolean products OR-accumulate: no explicit zeros
@@ -347,7 +348,7 @@ def local_contexts(g: Graph, r: int) -> tuple[np.ndarray, np.ndarray]:
         # to CSR is one O(nnz) counting pass that emits sorted rows, cheaper
         # than sorting each row. A+I itself (r = 1) is already sorted.
         reach = reach.T.tocsr()
-    return reach.indptr.astype(np.int64), reach.indices.astype(np.int64)
+    return reach
 
 
 def mean_degree(g: Graph) -> float:

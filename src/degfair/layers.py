@@ -35,7 +35,7 @@ from degfair.autodiff import (
     softmax_rows,
     sparse_matmul,
 )
-from degfair.graphs import Graph, GroupAssignment, local_contexts
+from degfair.graphs import Graph, GroupAssignment, adjacency, local_contexts
 
 __all__ = [
     "Linear",
@@ -208,27 +208,26 @@ def degree_encoding_matrix(degrees: np.ndarray, width: int) -> np.ndarray:
 # --------------------------------------------------------- graph operators
 
 
-def context_operator(num_nodes: int, offsets: np.ndarray, members: np.ndarray) -> FixedSparse:
-    """Mean-pooling operator over per-node context sets in CSR form."""
-    sizes = np.diff(offsets)
+def context_operator(pattern: sparse.csr_matrix) -> FixedSparse:
+    """Row-mean operator with its values on a CSR pattern's own index arrays."""
+    sizes = np.diff(pattern.indptr)
     values = np.repeat(
         np.divide(1.0, sizes, out=np.zeros(sizes.shape), where=sizes > 0),
         sizes,
     )
-    mat = sparse.csr_matrix(
-        (values, members, offsets), shape=(num_nodes, num_nodes)
+    return FixedSparse(
+        sparse.csr_matrix((values, pattern.indices, pattern.indptr), shape=pattern.shape)
     )
-    return FixedSparse(mat)
 
 
-def _gcn_operator(num_nodes: int, offsets: np.ndarray, members: np.ndarray) -> FixedSparse:
-    """Symmetric normalization with self-loops, D^-1/2 (A+I) D^-1/2, on the A+I lists."""
-    d = np.diff(offsets).astype(np.float64)  # degree + 1
-    inv_sqrt = 1.0 / np.sqrt(d)
-    centers = np.repeat(np.arange(num_nodes), np.diff(offsets))
-    values = inv_sqrt[centers] * inv_sqrt[members]
-    mat = sparse.csr_matrix((values, members, offsets), shape=(num_nodes,) * 2)
-    return FixedSparse(mat)
+def _gcn_operator(pattern: sparse.csr_matrix) -> FixedSparse:
+    """Symmetric normalization with self-loops, D^-1/2 (A+I) D^-1/2, on the A+I pattern."""
+    sizes = np.diff(pattern.indptr)  # degree + 1
+    inv_sqrt = 1.0 / np.sqrt(sizes.astype(np.float64))
+    values = np.repeat(inv_sqrt, sizes) * inv_sqrt[pattern.indices]
+    return FixedSparse(
+        sparse.csr_matrix((values, pattern.indices, pattern.indptr), shape=pattern.shape)
+    )
 
 
 @dataclass
@@ -267,10 +266,9 @@ def build_operators(
 
     ``groups`` must cover all nodes (a threshold contrast over the full
     node set): the aggregation needs a debiasing group for every node,
-    including validation/test nodes. The A+I lists are built once and
-    serve GCN's and GAT's ``agg`` and, when ``r_context`` is 1, the
-    context pattern; GAT's ``agg`` holds the A+I mean, the same operator
-    as ``ctx_mean`` at r = 1.
+    including validation/test nodes. The A+I pattern is built once and
+    serves GCN's and GAT's ``agg`` and, when ``r_context`` is 1, ``ctx_mean``;
+    those operators share its index arrays.
     """
     if kind not in ("gcn", "sage", "gat"):
         raise ValueError(f"unknown aggregator kind {kind!r}")
@@ -283,15 +281,12 @@ def build_operators(
     deg1 = g.degrees.astype(np.float64)
     unique_degrees, degree_inverse = np.unique(deg1, return_inverse=True)
     ctx = local_contexts(g, r_context)
-    ctx_mean = context_operator(g.num_nodes, *ctx)
+    ctx_mean = context_operator(ctx)
     if kind == "sage":
-        agg = context_operator(g.num_nodes, g.csr_offsets, g.csr_neighbors)
+        agg = context_operator(adjacency(g))
     else:
-        closed = ctx if r_context == 1 else local_contexts(g, 1)  # the A+I lists
-        if kind == "gcn":
-            agg = _gcn_operator(g.num_nodes, *closed)
-        else:
-            agg = ctx_mean if r_context == 1 else context_operator(g.num_nodes, *closed)
+        closed = ctx if r_context == 1 else local_contexts(g, 1)  # the A+I pattern
+        agg = _gcn_operator(closed) if kind == "gcn" else FixedSparse(closed)
     return GraphOperators(
         kind=kind,
         ctx_mean=ctx_mean,

@@ -52,6 +52,8 @@ __all__ = [
     "TrainingDivergedError",
     "ModelFileError",
     "PRESETS",
+    "check_integer",
+    "check_finite_real",
     "init_params",
     "train",
     "predict",
@@ -76,6 +78,18 @@ _INT_FIELDS = ("hidden_dim", "num_layers", "r_context", "r_eval", "epochs", "pat
 
 def _finite_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def check_integer(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is an integer: ``numbers.Integral``, not ``bool``."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def check_finite_real(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is a finite real number, not ``bool``."""
+    if not _finite_real(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass
@@ -110,14 +124,11 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in _INT_FIELDS:
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            check_integer(name, getattr(self, name))
         if not isinstance(self.dropout_input, bool):
             raise ValueError(f"dropout_input must be true or false, got {self.dropout_input!r}")
         for name in ("eps", "mu", "lam"):
-            if not _finite_real(getattr(self, name)):
-                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
+            check_finite_real(name, getattr(self, name))
         if self.threshold != "mean" and not _finite_real(self.threshold):
             raise ValueError(f'threshold must be a finite number or "mean", got {self.threshold!r}')
         if self.seed < 0:
@@ -138,6 +149,10 @@ class TrainConfig:
             raise ValueError("num_layers, hidden_dim, and gat_heads must be >= 1")
         if self.r_context < 1 or self.r_eval < 1:
             raise ValueError("r_context and r_eval must be >= 1")
+        for f in dataclasses.fields(self):  # numpy scalars become Python ones, for the model file
+            value = getattr(self, f.name)
+            if isinstance(value, np.generic):
+                setattr(self, f.name, value.item())
 
     def resolve_threshold(self, g: Graph) -> float:
         return mean_degree(g) if self.threshold == "mean" else float(self.threshold)

@@ -383,11 +383,13 @@ def _eval(trained, *flags):
             *flags]
 
 
-def _train(tmp_path, trained, *flags, eval_keys=(), train_keys=()):
+def _train(tmp_path, trained, *flags, eval_keys=(), train_keys=(), data_keys=(), top=()):
     cfg = json.loads(trained["config"].read_text())
     cfg["eval"].update(eval_keys)
     cfg["train"].update(train_keys)
+    cfg["data"].update(data_keys)
     cfg["output"]["dir"] = str(tmp_path / "out")
+    cfg.update(top)  # top-level keys, whole sections included
     return [*_train_text(tmp_path, json.dumps(cfg)), *flags]
 
 
@@ -444,6 +446,15 @@ EXIT_MATRIX = [
                  ("gat_heads", 2.0), ("num_layers", 2.0), ("hidden_dim", True), ("seed", -1),
                  ("eps", float("nan")), ("threshold", float("nan")),
                  ("dropout_input", "no")]],
+    # Config errors (exit 2): top-level, eval, data and output values of the wrong type.
+    *[pytest.param(lambda t, m, kv=kv: _train(t, m, top=dict([kv])), 2,
+                   id=f"run-{kv[0]}-{kv[1]}")
+      for kv in [("seed", 1.5), ("seed", True), ("train", [1]), ("eval", [1]),
+                 ("output", [1]), ("output", {"dir": 7}), ("preset", [1])]],
+    *[pytest.param(lambda t, m, kv=kv: _train(t, m, eval_keys=dict([kv])), 2,
+                   id=f"train-eval-{kv[0]}-{kv[1]}")
+      for kv in [("r_eval", 2.7), ("num_runs", True), ("fraction", "0.2")]],
+    pytest.param(lambda t, m: _train(t, m, data_keys={"edges": 5}), 2, id="train-data-edges-5"),
     pytest.param(lambda t, m: _train(t, m, train_keys={"lam": 1, "lambda": 2}), 2,
                  id="train-lam-and-lambda"),
     # Config errors (exit 2): the run-config file itself is malformed.

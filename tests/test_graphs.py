@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from degfair import graphs
 from degfair.graphs import (
@@ -223,9 +224,9 @@ def test_local_context_nested():
 def test_local_contexts_matches_single():
     g = make_graph(TRIANGLE + [(2, 3)], 5)
     for r in (1, 2):
-        offsets, members = local_contexts(g, r)
+        ctx = local_contexts(g, r)
         for v in range(g.num_nodes):
-            row = members[offsets[v] : offsets[v + 1]]
+            row = ctx.indices[ctx.indptr[v] : ctx.indptr[v + 1]]
             assert row.tolist() == local_context(g, v, r).tolist()
 
 
@@ -244,8 +245,10 @@ def edge_lists(draw):
 def test_local_contexts_property_matches_bfs_oracle(graph, r):
     n, edges = graph
     g = make_graph(edges, n)
-    offsets, members = local_contexts(g, r)
-    assert offsets.dtype == np.int64 and members.dtype == np.int64
+    ctx = local_contexts(g, r)
+    assert isinstance(ctx, sparse.csr_matrix) and ctx.shape == (n, n)
+    assert ctx.dtype == bool and ctx.data.all()  # a pattern: no stored False
+    offsets, members = ctx.indptr, ctx.indices
     assert offsets.shape == (n + 1,) and offsets[0] == 0
     assert np.all(np.diff(offsets) >= 0) and offsets[-1] == members.size
     for v in range(n):

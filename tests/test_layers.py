@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from degfair import layers
 from degfair.autodiff import Tape, Tensor, film_debias, sparse_matmul
@@ -98,7 +100,7 @@ def test_context_identical_rows():
     g = make_graph([(0, 1), (1, 2)], 3)
     from degfair.graphs import local_contexts
 
-    op = context_operator(3, *local_contexts(g, 1))
+    op = context_operator(local_contexts(g, 1))
     h = Tensor(np.tile([2.0, -1.0], (3, 1)))
     c = sparse_matmul(op, h)
     assert np.allclose(c.data, np.tile([2.0, -1.0], (3, 1)))
@@ -108,7 +110,7 @@ def test_context_isolated_node():
     g = make_graph([(0, 1)], 3)
     from degfair.graphs import local_contexts
 
-    op = context_operator(3, *local_contexts(g, 1))
+    op = context_operator(local_contexts(g, 1))
     h = Tensor(np.array([[1.0, 0.0], [0.0, 1.0], [5.0, 5.0]]))
     c = sparse_matmul(op, h)
     assert np.allclose(c.data[2], [5.0, 5.0])
@@ -118,7 +120,7 @@ def test_context_path_mean():
     g = make_graph([(0, 1), (1, 2)], 3)
     from degfair.graphs import local_contexts
 
-    op = context_operator(3, *local_contexts(g, 1))
+    op = context_operator(local_contexts(g, 1))
     e = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     c = sparse_matmul(op, Tensor(e))
     assert np.allclose(c.data[1], (e[0] + e[1] + e[2]) / 3.0)
@@ -224,6 +226,49 @@ def test_sage_neighbor_mean_matches_dense_oracle():
     expect = np.divide(adj, deg[:, None], out=np.zeros_like(adj), where=deg[:, None] > 0)
     assert np.array_equal(ops.agg.fwd.toarray(), expect)
     assert not expect[3].any() and np.diag(expect).sum() == 0.0
+
+
+@st.composite
+def edge_lists(draw):
+    n = draw(st.integers(min_value=1, max_value=20))
+    node = st.integers(min_value=0, max_value=n - 1)
+    return n, draw(st.lists(st.tuples(node, node), max_size=35))
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph=edge_lists(), r=st.sampled_from([1, 2, 3]),
+       kind=st.sampled_from(["gcn", "sage", "gat"]))
+@example(graph=(5, [(0, 1), (1, 2), (2, 3)]), r=2, kind="sage")  # node 4 isolated
+def test_operators_property_match_dense_oracles(graph, r, kind):
+    # Dense oracles from the same formulas, so the comparison is exact.
+    n, edges = graph
+    g = make_graph(edges, n)
+    ops = build_operators(g, r, full_groups(g, 10.0), kind)
+    adj = np.zeros((n, n), dtype=bool)
+    for u, v in edges:
+        if u != v:
+            adj[u, v] = adj[v, u] = True
+    closed = adj | np.eye(n, dtype=bool)
+    reach = closed
+    for _ in range(r - 1):
+        reach = (reach.astype(np.int64) @ closed.astype(np.int64)) > 0
+    sizes = reach.sum(axis=1)
+    assert np.array_equal(ops.ctx_mean.fwd.toarray(), np.where(reach, 1.0 / sizes[:, None], 0.0))
+    agg = ops.agg.fwd
+    if kind == "gcn":
+        inv_sqrt = 1.0 / np.sqrt(closed.sum(axis=1).astype(np.float64))
+        expect = np.where(closed, inv_sqrt[:, None] * inv_sqrt[None, :], 0.0)
+        assert np.array_equal(agg.toarray(), expect)
+    elif kind == "sage":
+        deg = adj.sum(axis=1)
+        inv = np.divide(1.0, deg, out=np.zeros(n), where=deg > 0)
+        assert np.array_equal(agg.toarray(), np.where(adj, inv[:, None], 0.0))
+    else:
+        assert agg.nnz == closed.sum() and np.array_equal(agg.toarray() != 0, closed)
+    if r == 1 and kind != "sage":
+        # One A+I pattern: the context mean and the aggregation share its indices.
+        assert np.shares_memory(ops.ctx_mean.fwd.indices, agg.indices)
+        assert np.shares_memory(ops.ctx_mean.fwd.indptr, agg.indptr)
 
 
 def test_gat_uniform_attention_on_identical_embeddings():

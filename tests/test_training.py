@@ -355,6 +355,22 @@ def test_saved_config_round_trips(tmp_path):
     assert loaded_cfg.threshold == 3.0
 
 
+def test_numpy_config_saves_and_reloads_bit_exactly(tmp_path):
+    # TrainConfig accepts numpy scalars, so the model file must store them.
+    g, split = small_setup()
+    cfg = quick_config(hidden_dim=np.int64(4), epochs=np.int32(3), seed=np.uint8(2),
+                       mu=np.float32(0.25), threshold=np.int64(3))
+    assert {type(v) for v in vars(cfg).values()} <= {int, float, str, bool}
+    params, _ = train(g, split, cfg)
+    path = str(tmp_path / "model.txt")
+    save_model(params, cfg, path)
+    loaded, loaded_cfg = load_model(path)
+    assert loaded_cfg == cfg
+    for (name, a), (_, b) in zip(params.named_tensors(), loaded.named_tensors()):
+        assert a.data.tobytes() == b.data.tobytes(), name
+    assert np.array_equal(predict(params, g, cfg), predict(loaded, g, loaded_cfg))
+
+
 def test_divergence_raises():
     import warnings
 
