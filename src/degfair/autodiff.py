@@ -3,8 +3,11 @@
 Everything is 2-D (scalars are 1x1, biases are 1xd rows). Ops executed
 while a :class:`Tape` is active are recorded in execution order; the
 backward pass replays the record in exact reverse, accumulating adjoints
-into ``.grad`` buffers. Outside a tape, or inside :func:`no_grad`, ops are
-plain forward evaluation.
+into ``.grad`` buffers. It frees each entry once replayed: the entry's
+vjp closures, with every array they captured, and its output's ``.grad``
+go, so after backward only the leaves (tensors created with
+``requires_grad=True``) hold a ``.grad``. Outside a tape, or inside
+:func:`no_grad`, ops are plain forward evaluation.
 """
 
 from __future__ import annotations
@@ -109,6 +112,7 @@ class Tape:
 
     def __init__(self):
         self._entries: list[tuple[Tensor, list]] = []
+        self._replayed = 0
         self._used = False
 
     def __enter__(self) -> "Tape":
@@ -120,10 +124,15 @@ class Tape:
         assert popped is self
 
     def __len__(self) -> int:
-        return len(self._entries)
+        """Ops recorded, those that backward has replayed and freed included."""
+        return len(self._entries) + self._replayed
 
     def backward(self, loss: Tensor) -> None:
-        """Populate ``.grad`` on every tensor the loss depends on."""
+        """Populate ``.grad`` on every leaf the loss depends on.
+
+        Each entry is freed once replayed, and its output's ``.grad`` with
+        it, so the tape's memory goes as the replay proceeds.
+        """
         if self._used:
             raise TapeError("backward was already run on this tape")
         if not isinstance(loss, Tensor) or loss.shape != (1, 1):
@@ -136,7 +145,10 @@ class Tape:
         # copy on first assignment if the buffer is already owned. No two
         # tensors then share a grad, so later contributions add in place.
         owned: set[int] = set()
-        for out, pairs in reversed(self._entries):
+        entries = self._entries
+        while entries:
+            out, pairs = entries.pop()
+            self._replayed += 1
             g = out.grad
             if g is None:
                 continue
@@ -150,6 +162,10 @@ class Tape:
                     owned.add(id(contrib))
                 else:
                     np.add(parent.grad, contrib, out=parent.grad)
+            # A recorded output is never a leaf, so its grad is dead now; no
+            # parent holds that buffer (they got copies), so its id may recur.
+            out.grad = None
+            owned.discard(id(g))
 
 
 @contextlib.contextmanager
@@ -295,15 +311,17 @@ def masked_sq_norm(x: Tensor, row_weights: np.ndarray) -> Tensor:
     return _record(out, [(x, lambda g: (2.0 * g[0, 0]) * (col * x.data))])
 
 
-def _scatter_rows(idx: np.ndarray, g: np.ndarray, rows: int) -> np.ndarray:
-    """Adjoint of the row gather ``x[idx]``: add row k of ``g`` into row idx[k].
+def _scatter_matrix(idx: np.ndarray, rows: int) -> _sparse.csr_matrix:
+    """The 0/1 matrix ``S`` (rows x len(idx)) with ``S @ g`` adding row k of g into row idx[k].
 
-    One flat bincount is much faster than np.add.at and accumulates
-    duplicates in input order (deterministic).
+    Row r of ``S`` lists the k with idx[k] == r in increasing order (a stable
+    argsort), so the CSR product sums duplicates in input order, as a
+    ``np.bincount`` over the rows would, and builds no per-entry index.
     """
-    cols = g.shape[1]
-    flat = (idx[:, None] * cols + np.arange(cols)[None, :]).ravel()
-    return np.bincount(flat, weights=g.ravel(), minlength=rows * cols).reshape(rows, cols)
+    order = np.argsort(idx, kind="stable")
+    indptr = np.zeros(rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(idx, minlength=rows), out=indptr[1:])
+    return _sparse.csr_matrix((np.ones(idx.size), order, indptr), shape=(rows, idx.size))
 
 
 def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
@@ -311,7 +329,7 @@ def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
     x = as_tensor(x)
     idx = np.asarray(idx, dtype=np.int64)
     out = Tensor(x.data[idx])
-    return _record(out, [(x, lambda g: _scatter_rows(idx, g, x.shape[0]))])
+    return _record(out, [(x, lambda g: _scatter_matrix(idx, x.shape[0]) @ g)])
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -352,11 +370,11 @@ def film_debias(
 
     Row i is ``(scale_u[d] + 1) * (ctx[i] @ w + b) + shift_u[d]``, where
     ``(w, b) = nets[route[i]]`` and ``d = degree_inverse[i]``. ``nets`` is a
-    sequence of ``(w, b)`` pairs with one output width; a row routed to -1
-    gets a zero net output, so it holds ``shift_u[d]``. Each net runs on its
-    own rows only. ``scale_u`` / ``shift_u`` hold one row per unique degree
-    and are never expanded to a tracked per-row tensor: their adjoints
-    reduce straight onto the unique-degree rows.
+    sequence of ``(w, b)`` pairs with one output width. A row routed to -1
+    is left out: the output holds the routed rows only, in row order. Each
+    net runs on its own rows only. ``scale_u`` / ``shift_u`` hold one row
+    per unique degree and are never expanded to a tracked per-row tensor:
+    their adjoints reduce straight onto the unique-degree rows.
     """
     ctx, scale_u, shift_u = as_tensor(ctx), as_tensor(scale_u), as_tensor(shift_u)
     nets = [(as_tensor(w), as_tensor(b)) for w, b in nets]
@@ -379,10 +397,14 @@ def film_debias(
         raise ValueError(f"route values must lie in [-1, {len(nets)})")
     if n and (inv.min() < 0 or inv.max() >= scale_u.shape[0]):
         raise ValueError(f"degree_inverse values must lie in [0, {scale_u.shape[0]})")
+    routed = np.flatnonzero(route >= 0)
+    route, inv = route[routed], inv[routed]
+    # parts[k]: net k's output rows; sources[k]: the ctx rows they read.
     parts = [np.flatnonzero(route == k) for k in range(len(nets))]
-    raw = np.zeros((n, width))
-    for rows, (w, b) in zip(parts, nets):
-        part = ctx.data[rows] @ w.data
+    sources = [routed[rows] for rows in parts]
+    raw = np.empty((routed.size, width))  # every output row belongs to one part
+    for rows, src, (w, b) in zip(parts, sources, nets):
+        part = ctx.data[src] @ w.data
         part += b.data
         raw[rows] = part
     scale1 = scale_u.data[inv]
@@ -391,8 +413,10 @@ def film_debias(
     out += shift_u.data[inv]
 
     # g * (scale + 1), split by net, is formed once and shared by the
-    # adjoints of ctx and of every net (a tape replays each entry once).
+    # adjoints of ctx and of every net; the degree-row reduction is built
+    # once for scale and shift (a tape replays each entry once).
     scaled_parts: list[np.ndarray] = []
+    by_degree: list[_sparse.csr_matrix] = []
 
     def net_grads(g):
         if not scaled_parts:
@@ -400,19 +424,23 @@ def film_debias(
             scaled_parts.extend(scaled[rows] for rows in parts)
         return scaled_parts
 
+    def degree_sum(g):
+        if not by_degree:
+            by_degree.append(_scatter_matrix(inv, scale_u.shape[0]))
+        return by_degree[0] @ g
+
     def vjp_ctx(g):
         gx = np.zeros(ctx.shape)
-        for rows, gk, (w, _) in zip(parts, net_grads(g), nets):
-            gx[rows] = gk @ w.data.T
+        for src, gk, (w, _) in zip(sources, net_grads(g), nets):
+            gx[src] = gk @ w.data.T
         return gx
 
     pairs = [(ctx, vjp_ctx)]
-    for k, (rows, (w, b)) in enumerate(zip(parts, nets)):
-        pairs.append((w, lambda g, k=k, rows=rows: ctx.data[rows].T @ net_grads(g)[k]))
+    for k, (src, (w, b)) in enumerate(zip(sources, nets)):
+        pairs.append((w, lambda g, k=k, src=src: ctx.data[src].T @ net_grads(g)[k]))
         pairs.append((b, lambda g, k=k: net_grads(g)[k].sum(axis=0, keepdims=True)))
-    unique = scale_u.shape[0]
-    pairs.append((scale_u, lambda g: _scatter_rows(inv, g * raw, unique)))
-    pairs.append((shift_u, lambda g: _scatter_rows(inv, g, unique)))
+    pairs.append((scale_u, lambda g: degree_sum(g * raw)))
+    pairs.append((shift_u, degree_sum))
     return _record(Tensor(out), pairs)
 
 

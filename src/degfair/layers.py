@@ -374,19 +374,22 @@ def fair_layer_forward(
     kind: str,
     eps: float,
     activation: str,
+    ctx: Tensor | None = None,
 ) -> LayerTraceEntry:
     """One debiased layer: sigma(Aggr(h) + eps * own-group debiasing context).
 
-    The context is ``film_debias`` of the context embedding: each node's
-    row goes through its own group's debiasing net only, modulated by the
-    scale/shift rows of its degree, which the FiLM nets generate once per
+    The context is ``film_debias`` of the context embedding
+    ``ctx_mean @ h_prev`` (``ctx``, when the caller already holds it): each
+    node's row goes through its own group's debiasing net only, modulated by
+    the scale/shift rows of its degree, which the FiLM nets generate once per
     unique degree from encodings of width ``film_scale.w.shape[0]``. The
     trace keeps the context embedding, those unique-degree rows and both
     nets for the training constraints. With eps == 0 the own-group context
     is neither computed nor added, so the output is bit-identical to the
     plain base aggregation.
     """
-    ctx = sparse_matmul(ops.ctx_mean, h_prev)
+    if ctx is None:
+        ctx = sparse_matmul(ops.ctx_mean, h_prev)
     enc = ops.encoding(layer.film_scale.w.shape[0])
     scale_u, shift_u = layer.film_scale(enc), layer.film_shift(enc)
     debias = (layer.debias_low, layer.debias_high)
@@ -413,6 +416,7 @@ def model_forward(
     rng: np.random.Generator | None = None,
     dropout_input: bool = False,
     features: Tensor | None = None,
+    context0: Tensor | None = None,
 ) -> ForwardTrace:
     """Full forward pass: ReLU hidden layers, softmax output layer.
 
@@ -421,6 +425,10 @@ def model_forward(
     ``dropout_rate`` of 0. Dropout is applied to hidden activations, and to
     the input features as well when ``dropout_input`` is set. ``features``
     overrides the raw graph features (e.g. a normalized copy).
+    ``context0`` is layer 0's context embedding (``ops.ctx_mean`` times the
+    layer's input) from an earlier forward on the same input, which the
+    trace holds as ``layers[0].ctx``; it depends on no parameter, so a
+    caller may keep it across forwards.
     """
     if dropout_rate > 0.0 and rng is None:
         raise ValueError("dropout needs an rng")
@@ -431,7 +439,8 @@ def model_forward(
     last = len(params.layers) - 1
     for i, layer in enumerate(params.layers):
         entry = fair_layer_forward(
-            h, ops, layer, params.kind, eps, "softmax" if i == last else "relu"
+            h, ops, layer, params.kind, eps, "softmax" if i == last else "relu",
+            ctx=context0 if i == 0 else None,
         )
         entries.append(entry)
         h = entry.h

@@ -101,7 +101,7 @@ def debias_constraint(trace: ForwardTrace, low_tr: np.ndarray, high_tr: np.ndarr
     use, and vice versa; both should be near zero for the opposite group.
     The opposite contexts are built here by ``film_debias`` from each
     layer's trace, routed to the other group's net on the training rows of
-    the two groups and to -1 (masked out) everywhere else.
+    the two groups and to -1 everywhere else, so only those rows are built.
     """
     low_tr = np.asarray(low_tr, dtype=np.int64)
     high_tr = np.asarray(high_tr, dtype=np.int64)
@@ -114,7 +114,7 @@ def debias_constraint(trace: ForwardTrace, low_tr: np.ndarray, high_tr: np.ndarr
             entry.ctx, opposite, entry.debias, entry.scale_u, entry.shift_u,
             trace.degree_inverse,
         )
-        total = add(total, masked_sq_norm(unused, opposite >= 0))
+        total = add(total, sq_norm(unused))
     return total
 
 

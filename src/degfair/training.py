@@ -129,6 +129,9 @@ class TrainConfig:
             raise ValueError(f"dropout_input must be true or false, got {self.dropout_input!r}")
         for name in ("eps", "mu", "lam"):
             check_finite_real(name, getattr(self, name))
+        # Any step size >= 0 is allowed, inf too: divergence is reported, not refused.
+        if not isinstance(self.lr, numbers.Real) or isinstance(self.lr, bool) or not self.lr >= 0:
+            raise ValueError(f"lr must be a number >= 0 (not NaN), got {self.lr!r}")
         if self.threshold != "mean" and not _finite_real(self.threshold):
             raise ValueError(f'threshold must be a finite number or "mean", got {self.threshold!r}')
         if self.seed < 0:
@@ -272,16 +275,22 @@ def _setup(g: Graph, config: TrainConfig):
     return groups, ops, feats
 
 
-def _eval_probs(
+def _eval_forward(
     g: Graph,
     params: ModelParams,
     config: TrainConfig,
     ops: GraphOperators,
     feats,
-) -> np.ndarray:
+    context0=None,
+):
+    """Eval-mode probabilities, and layer 0's context embedding (None for base).
+
+    ``context0``, when given, is that embedding from an earlier forward.
+    """
     if config.model == "base":
-        return base_forward(g, params, ops, features=feats).data
-    return model_forward(g, params, ops, eps=config.eps, features=feats).probs.data
+        return base_forward(g, params, ops, features=feats).data, None
+    trace = model_forward(g, params, ops, eps=config.eps, features=feats, context0=context0)
+    return trace.probs.data, trace.layers[0].ctx
 
 
 def train(
@@ -310,6 +319,10 @@ def train(
         features=feats,
     )
     zero = Tensor([[0.0]])
+    # Layer 0's context embedding of feats depends on no parameter: it is
+    # kept from its first computation in epoch 0. Input dropout changes the
+    # training forward's input, so then only the eval forwards reuse it.
+    context0 = None
 
     history = TrainHistory()
     best_val = -1.0  # epoch 0 always beats this, so best_data gets filled
@@ -321,7 +334,12 @@ def train(
         opt.zero_grad()
         with Tape() as tape:
             if fair:
-                trace = model_forward(g, params, ops, eps=config.eps, **forward_args)
+                trace = model_forward(
+                    g, params, ops, eps=config.eps,
+                    context0=None if config.dropout_input else context0, **forward_args,
+                )
+                if not config.dropout_input:
+                    context0 = trace.layers[0].ctx
                 probs = trace.probs
             else:
                 probs = base_forward(g, params, ops, **forward_args)
@@ -357,7 +375,7 @@ def train(
                     f"parameter {name} is non-finite after the step at epoch {epoch}"
                 )
 
-        probs_eval = _eval_probs(g, params, config, ops, feats)
+        probs_eval, context0 = _eval_forward(g, params, config, ops, feats, context0)
         preds = np.argmax(probs_eval, axis=1)
         tr_acc = accuracy(preds, g.labels, split.train)
         va_acc = accuracy(preds, g.labels, split.val) if split.val.size else tr_acc
@@ -384,7 +402,7 @@ def train(
 def predict(params: ModelParams, g: Graph, config: TrainConfig) -> np.ndarray:
     """Argmax class per node, dropout disabled; ties go to the lower class."""
     _, ops, feats = _setup(g, config)
-    probs = _eval_probs(g, params, config, ops, feats)
+    probs, _ = _eval_forward(g, params, config, ops, feats)
     return np.argmax(probs, axis=1)
 
 

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -127,13 +128,13 @@ def test_film_debias_values_and_rows():
     nets = [(param(np.eye(2)), param([[1.0, 1.0]])),
             (param(2 * np.eye(2)), param([[0.0, 0.0]])),
             (param(np.ones((2, 2))), param([[9.0, 9.0]]))]
-    # Zero modulation: the routed net outputs alone, a -1 row is zero.
+    # Zero modulation: the routed net outputs alone; the -1 row is left out.
     scale, shift = param(np.zeros((1, 2))), param(np.zeros((1, 2)))
     inv = np.zeros(3, dtype=np.int64)
     with Tape() as tape:
         out = ad.film_debias(x, np.array([1, -1, 0]), nets, scale, shift, inv)
         loss = ad.sum_all(out)
-    assert out.data.tolist() == [[2.0, 4.0], [0.0, 0.0], [6.0, 7.0]]
+    assert out.data.tolist() == [[2.0, 4.0], [6.0, 7.0]]
     tape.backward(loss)
     assert x.grad.tolist() == [[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]]
     assert nets[0][0].grad.tolist() == [[5.0, 5.0], [6.0, 6.0]]
@@ -141,7 +142,7 @@ def test_film_debias_values_and_rows():
     assert np.array_equal(nets[2][0].grad, np.zeros((2, 2)))  # no rows routed to it
     assert np.array_equal(nets[2][1].grad, np.zeros((1, 2)))
     assert scale.grad.tolist() == [[8.0, 11.0]]  # sum of the net outputs
-    assert shift.grad.tolist() == [[3.0, 3.0]]  # one per row, the -1 row too
+    assert shift.grad.tolist() == [[2.0, 2.0]]  # one per routed row
 
     # Two unique degrees: rows 0 and 2 share row 0 of scale/shift.
     x.grad = None
@@ -150,11 +151,11 @@ def test_film_debias_values_and_rows():
     with Tape() as tape:
         out = ad.film_debias(x, np.array([1, -1, 0]), nets, scale, shift, inv)
         loss = ad.sum_all(out)
-    assert out.data.tolist() == [[4.5, 3.5], [1.0, 1.0], [12.5, 6.5]]
+    assert out.data.tolist() == [[4.5, 3.5], [12.5, 6.5]]
     tape.backward(loss)
     assert x.grad.tolist() == [[4.0, 2.0], [0.0, 0.0], [2.0, 1.0]]
     assert scale.grad.tolist() == [[8.0, 11.0], [0.0, 0.0]]
-    assert shift.grad.tolist() == [[2.0, 2.0], [1.0, 1.0]]
+    assert shift.grad.tolist() == [[2.0, 2.0], [0.0, 0.0]]  # degree 1's only row is left out
 
     for route, inv in (([0, 3, 0], [0, 0, 0]), ([0, 1], [0, 0]),
                        ([0, 1, 0], [0, 2, 0]), ([0, 1, 0], [0, -1, 0])):
@@ -166,16 +167,19 @@ def test_film_debias_values_and_rows():
 
 
 def film_debias_oracle(x, route, nets, scale_u, shift_u, inv):
-    """Row by row: (scale_u[d] + 1) * (x[i] @ w + b) + shift_u[d]."""
-    out = np.zeros((x.shape[0], scale_u.shape[1]))
-    for i in range(x.shape[0]):
-        d = inv[i]
-        raw = 0.0
-        if route[i] >= 0:
-            w, b = nets[route[i]]
-            raw = x[i] @ w + b[0]
-        out[i] = (scale_u[d] + 1.0) * raw + shift_u[d]
-    return out
+    """Row by row over the routed rows: (scale_u[d] + 1) * (x[i] @ w + b) + shift_u[d]."""
+    rows = []
+    for i in np.flatnonzero(route >= 0):
+        w, b = nets[route[i]]
+        rows.append((scale_u[inv[i]] + 1.0) * (x[i] @ w + b[0]) + shift_u[inv[i]])
+    return np.array(rows).reshape(-1, scale_u.shape[1])
+
+
+def bincount_scatter(idx, g, rows):
+    """Reference scatter-add: one flat ``np.bincount``, duplicates in input order."""
+    cols = g.shape[1]
+    flat = (idx[:, None] * cols + np.arange(cols)[None, :]).ravel()
+    return np.bincount(flat, weights=g.ravel(), minlength=rows * cols).reshape(rows, cols)
 
 
 @st.composite
@@ -184,34 +188,47 @@ def film_debias_cases(draw):
     d_in, width = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     num_nets = draw(st.integers(1, 3))
     unique = draw(st.integers(1, 4))
-    # Routes may leave a net without rows or put every row at -1; degree
-    # rows may repeat or all be one.
-    route = draw(st.lists(st.integers(-1, num_nets - 1), min_size=n, max_size=n))
+    # The routed rows are none, all or a mix; routes may leave a net without
+    # rows, and degree rows may repeat or all be one.
+    lowest, highest = {"none": (-1, -1), "all": (0, num_nets - 1), "mixed": (-1, num_nets - 1)}[
+        draw(st.sampled_from(["none", "all", "mixed"]))]
+    route = draw(st.lists(st.integers(lowest, highest), min_size=n, max_size=n))
     inv = draw(st.lists(st.integers(0, unique - 1), min_size=n, max_size=n))
     seed = draw(st.integers(0, 2**32 - 1))
     return n, d_in, width, num_nets, unique, np.array(route, dtype=np.int64), \
         np.array(inv, dtype=np.int64), seed
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(film_debias_cases())
 @example(case=(6, 3, 2, 2, 3, np.array([0, 0, 1, 1, 0, 0]), np.array([2, 0, 1, 2, 2, 2]), 717848))
+@example(case=(4, 2, 3, 2, 2, np.array([-1, -1, -1, -1]), np.array([0, 1, 1, 0]), 5))
+@example(case=(5, 2, 3, 2, 2, np.array([1, -1, 0, -1, 1]), np.array([0, 1, 1, 0, 0]), 9))
 def test_film_debias_property_matches_dense_oracle_and_fd(case):
     n, d_in, width, num_nets, unique, route, inv, seed = case
     rng = np.random.default_rng(seed)
     x = tensor(rng, n, d_in) if n else Tensor(np.zeros((0, d_in)), requires_grad=True)
     nets = [(tensor(rng, d_in, width), tensor(rng, 1, width)) for _ in range(num_nets)]
     scale_u, shift_u = tensor(rng, unique, width), tensor(rng, unique, width)
-    cot = Tensor(rng.standard_normal((n, width)))
+    routed = np.flatnonzero(route >= 0)
+    cot = Tensor(rng.standard_normal((routed.size, width)))
 
-    out = ad.film_debias(x, route, nets, scale_u, shift_u, inv)
+    with Tape() as tape:
+        out = ad.film_debias(x, route, nets, scale_u, shift_u, inv)
+        loss = ad.sum_all(ad.mul(out, cot))
     expected = film_debias_oracle(
         x.data, route, [(w.data, b.data) for w, b in nets], scale_u.data,
         shift_u.data, inv,
     )
-    assert out.shape == (n, width)
+    assert out.shape == (routed.size, width)
     assert np.allclose(out.data, expected, rtol=1e-12, atol=1e-12)
-    assert np.array_equal(out.data[route == -1], shift_u.data[inv[route == -1]])
+    # Leaving a row out is the same as not passing it, bit for bit.
+    alone = ad.film_debias(Tensor(x.data[routed]), route[routed], nets, scale_u, shift_u,
+                           inv[routed])
+    assert np.array_equal(out.data, alone.data)
+    # The shift adjoint is the cotangent summed by degree row, in row order.
+    tape.backward(loss)
+    assert np.array_equal(shift_u.grad, bincount_scatter(inv[routed], cot.data, unique))
 
     def program():
         return ad.sum_all(ad.mul(ad.film_debias(x, route, nets, scale_u, shift_u, inv), cot))
@@ -221,10 +238,47 @@ def test_film_debias_property_matches_dense_oracle_and_fd(case):
     # exact at any step; a large one keeps their rounding below the bound on
     # tiny gradients (the pinned case reads 2.0e-6 at the default 1e-5).
     assert ad.fd_check(program, params, eps=1e-2, rng=rng) < 1e-6
-    # Unique-degree rows no node uses get a zero adjoint.
-    unused = np.setdiff1d(np.arange(unique), inv)
+    # Unique-degree rows no routed node uses, and ctx rows routed to -1, get a
+    # zero adjoint.
+    unused = np.setdiff1d(np.arange(unique), inv[routed])
     assert np.array_equal(scale_u.grad[unused], np.zeros((unused.size, width)))
     assert np.array_equal(shift_u.grad[unused], np.zeros((unused.size, width)))
+    if n:
+        assert not x.grad[route == -1].any()
+
+
+@st.composite
+def gather_rows_cases(draw):
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["empty", "every row", "duplicates"]))
+    if kind == "empty":
+        idx = []
+    elif kind == "every row":
+        idx = draw(st.permutations(range(rows)))
+    else:
+        idx = draw(st.lists(st.integers(0, rows - 1), min_size=1, max_size=12))
+    return rows, cols, np.array(idx, dtype=np.int64), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(gather_rows_cases())
+def test_gather_rows_property_adjoint_matches_dense_oracle_and_bincount(case):
+    rows, cols, idx, seed = case
+    rng = np.random.default_rng(seed)
+    x = tensor(rng, rows, cols)
+    # Large cotangents of mixed sign make the summation order visible.
+    cot = rng.standard_normal((idx.size, cols)) * 10.0 ** rng.integers(-8, 9, (idx.size, 1))
+    with Tape() as tape:
+        out = ad.gather_rows(x, idx)
+        loss = ad.sum_all(ad.mul(out, Tensor(cot)))
+    assert out.shape == (idx.size, cols)
+    assert np.array_equal(out.data, x.data[idx])
+    tape.backward(loss)
+    one_hot = np.zeros((idx.size, rows))
+    one_hot[np.arange(idx.size), idx] = 1.0
+    dense = one_hot.T @ cot
+    assert np.allclose(x.grad, dense, rtol=1e-12, atol=1e-12 * (1.0 + np.abs(cot).max(initial=0.0)))
+    assert np.array_equal(x.grad, bincount_scatter(idx, cot, rows))
 
 
 @st.composite
@@ -368,6 +422,36 @@ def test_backward_twice_is_an_error():
         tape.backward(loss)
 
 
+def test_backward_frees_the_tape_as_it_replays_it():
+    rng = np.random.default_rng(5)
+    w, v = tensor(rng, 3, 4), tensor(rng, 5, 4)
+    x = Tensor(rng.standard_normal((5, 3)))
+    scale = rng.standard_normal((5, 4))
+    want_w = x.data.T @ scale
+    captured = weakref.ref(scale)
+    with Tape() as tape:
+        h = ad.matmul(x, w)
+        outputs = [h, ad.mul(h, Tensor(scale))]  # only this op's vjp holds `scale`
+        outputs.append(ad.add(outputs[-1], v))
+        outputs.append(ad.add(outputs[-1], v))
+        outputs.append(ad.sum_all(outputs[-1]))
+    del scale
+    recorded = len(tape)
+    assert recorded == 5 and captured() is not None
+    tape.backward(outputs[-1])
+    assert len(tape) == recorded
+    assert captured() is None
+    assert all(t.grad is None for t in outputs)
+    # Leaf grads against the dense oracle: d/dw sum((x @ w) * scale) = x.T @ scale,
+    # and v enters twice with identity adjoints into buffers of its own.
+    assert np.allclose(w.grad, want_w, rtol=1e-12, atol=1e-12)
+    assert np.array_equal(v.grad, np.full((5, 4), 2.0))
+    assert not np.shares_memory(v.grad, w.grad)
+    with pytest.raises(TapeError):
+        tape.backward(outputs[-1])
+    assert len(tape) == recorded
+
+
 def test_backward_is_linear():
     rng = np.random.default_rng(3)
     w = tensor(rng, 3, 3)
@@ -473,7 +557,7 @@ def op_programs(rng):
     routed_x = tensor(rng, n + 3, d)
     routed_nets = [(tensor(rng, d, k), tensor(rng, 1, k)) for _ in range(3)]
     scale_u, shift_u = tensor(rng, 4, k), tensor(rng, 4, k)
-    routed_cot = Tensor(rng.standard_normal((n + 3, k)))
+    routed_cot = Tensor(rng.standard_normal((np.count_nonzero(route >= 0), k)))
 
     def through(out, co):
         return ad.sum_all(ad.mul(out, co))

@@ -445,7 +445,7 @@ EXIT_MATRIX = [
       for kv in [("hidden_dim", 8.5), ("epochs", 2.5), ("r_context", 1.5), ("seed", 1.5),
                  ("gat_heads", 2.0), ("num_layers", 2.0), ("hidden_dim", True), ("seed", -1),
                  ("eps", float("nan")), ("threshold", float("nan")),
-                 ("dropout_input", "no")]],
+                 ("dropout_input", "no"), ("lr", "0.01")]],
     # Config errors (exit 2): top-level, eval, data and output values of the wrong type.
     *[pytest.param(lambda t, m, kv=kv: _train(t, m, top=dict([kv])), 2,
                    id=f"run-{kv[0]}-{kv[1]}")

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from degfair import training
 from degfair.cli import main
 from degfair.graphs import generalized_degree, save_graph_files, split_nodes, synth_generate
 from degfair.layers import base_forward, model_forward
@@ -55,6 +56,8 @@ def test_config_validation():
     ("seed", -1), ("eps", float("nan")), ("mu", float("inf")), ("lam", "0.1"), ("lam", True),
     ("threshold", float("nan")), ("threshold", -float("inf")), ("threshold", False),
     ("dropout_input", "no"), ("dropout_input", 1),
+    ("lr", "0.01"), ("lr", True), ("lr", None), ("lr", float("nan")), ("lr", -1e-3),
+    ("lr", -float("inf")),
 ])
 def test_config_rejects_values_of_the_wrong_type(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be"):
@@ -69,6 +72,7 @@ def test_config_accepts_numpy_and_json_numbers():
     cfg = TrainConfig(**json.loads(record))
     assert (cfg.epochs, cfg.eps, cfg.threshold, cfg.lr) == (7, 1, 3, 1e150)
     assert TrainConfig(lr=np.inf).lr == np.inf  # the divergence tests need any step size
+    assert (TrainConfig(lr=0).lr, TrainConfig(lr=np.float32(0.5)).lr) == (0, 0.5)
 
 
 def test_config_threshold_resolution():
@@ -151,6 +155,23 @@ def test_training_deterministic():
     assert [b.total for b in h1.losses] == [b.total for b in h2.losses]
     assert h1.val_acc == h2.val_acc
     for ta, tb in zip(p1.all_tensors(), p2.all_tensors()):
+        assert np.array_equal(ta.data, tb.data)
+
+
+@pytest.mark.parametrize("dropout_input", [False, True])
+def test_kept_layer0_context_trains_bit_identically(monkeypatch, dropout_input):
+    # train() keeps layer 0's context embedding across forwards; a forward
+    # that always recomputes it must give the same run, bit for bit.
+    g, split = small_setup(seed=4, n=50)
+    cfg = quick_config(epochs=4, patience=4, seed=4, dropout_input=dropout_input)
+    kept_params, kept = train(g, split, cfg)
+    forward = training.model_forward
+    monkeypatch.setattr(training, "model_forward",
+                        lambda *a, context0=None, **kw: forward(*a, **kw))
+    fresh_params, fresh = train(g, split, cfg)
+    assert [b.total for b in kept.losses] == [b.total for b in fresh.losses]
+    assert kept.val_acc == fresh.val_acc
+    for ta, tb in zip(kept_params.all_tensors(), fresh_params.all_tensors()):
         assert np.array_equal(ta.data, tb.data)
 
 
