@@ -27,17 +27,13 @@ __all__ = [
     "as_tensor",
     "matmul",
     "add",
-    "mul",
     "scalar_mul",
     "relu",
     "softmax_rows",
-    "log",
-    "clamp_min",
-    "sum_all",
-    "mean_rows",
     "sq_norm",
-    "masked_sq_norm",
-    "gather_rows",
+    "nll_rows",
+    "group_mean_gap",
+    "weighted_sum",
     "affine",
     "add_scaled",
     "film_debias",
@@ -141,9 +137,12 @@ class Tape:
             raise TapeError("loss is not connected to any tracked tensor")
         self._used = True
         loss.grad = np.ones((1, 1))
-        # Identity-style vjps can hand the same buffer to several tensors;
-        # copy on first assignment if the buffer is already owned. No two
-        # tensors then share a grad, so later contributions add in place.
+        # ``owned`` holds the ids of the buffers that are some tensor's grad.
+        # A recorded output is never a leaf, so its grad is released before
+        # its vjps run: the first parent an identity vjp hands it to takes the
+        # buffer, and any later one copies it. A vjp returns ``g`` itself or a
+        # fresh array, never a view, so no two tensors then share a grad and
+        # later contributions add in place.
         owned: set[int] = set()
         entries = self._entries
         while entries:
@@ -152,7 +151,8 @@ class Tape:
             g = out.grad
             if g is None:
                 continue
-            owned.add(id(g))
+            out.grad = None
+            owned.discard(id(g))
             for parent, vjp in pairs:
                 contrib = vjp(g)
                 if parent.grad is None:
@@ -162,10 +162,6 @@ class Tape:
                     owned.add(id(contrib))
                 else:
                     np.add(parent.grad, contrib, out=parent.grad)
-            # A recorded output is never a leaf, so its grad is dead now; no
-            # parent holds that buffer (they got copies), so its id may recur.
-            out.grad = None
-            owned.discard(id(g))
 
 
 @contextlib.contextmanager
@@ -223,14 +219,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     raise ValueError(f"add shape mismatch: {a.shape} + {b.shape}")
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    if a.shape != b.shape:
-        raise ValueError(f"mul shape mismatch: {a.shape} * {b.shape}")
-    out = Tensor(a.data * b.data)
-    return _record(out, [(a, lambda g: g * b.data), (b, lambda g: g * a.data)])
-
-
 def scalar_mul(a: Tensor, c: float) -> Tensor:
     a = as_tensor(a)
     c = float(c)
@@ -258,57 +246,41 @@ def softmax_rows(x: Tensor) -> Tensor:
     )
 
 
-def log(x: Tensor) -> Tensor:
-    """Natural log; inputs must be strictly positive (clamp first)."""
-    x = as_tensor(x)
-    if np.any(x.data <= 0):
-        raise ValueError("log of non-positive value; clamp probabilities first")
-    out = Tensor(np.log(x.data))
-    return _record(out, [(x, lambda g: g / x.data)])
+def sq_norm(*tensors: Tensor, row_weights=None) -> Tensor:
+    """Sum of squared entries of every tensor, summed in order, as 1x1.
 
-
-def clamp_min(x: Tensor, floor: float) -> Tensor:
-    """Raise entries below ``floor`` to it; NaN passes through unchanged."""
-    x = as_tensor(x)
-    mask = ~(x.data <= floor)
-    out = Tensor(np.where(mask, x.data, floor))
-    return _record(out, [(x, lambda g: g * mask)])
-
-
-def sum_all(x: Tensor) -> Tensor:
-    x = as_tensor(x)
-    out = Tensor(x.data.sum())
-    return _record(out, [(x, lambda g: np.full(x.shape, g[0, 0]))])
-
-
-def mean_rows(x: Tensor) -> Tensor:
-    """Column means: (n x d) -> (1 x d)."""
-    x = as_tensor(x)
-    n = x.shape[0]
-    out = Tensor(x.data.mean(axis=0, keepdims=True))
-    return _record(out, [(x, lambda g: np.repeat(g / n, n, axis=0))])
-
-
-def sq_norm(x: Tensor) -> Tensor:
-    """Sum of squared entries (squared Frobenius / L2 norm), as 1x1."""
-    x = as_tensor(x)
-    out = Tensor(np.einsum("ij,ij->", x.data, x.data))
-    return _record(out, [(x, lambda g: 2.0 * g[0, 0] * x.data)])
-
-
-def masked_sq_norm(x: Tensor, row_weights: np.ndarray) -> Tensor:
-    """Sum of squared entries, row i weighted by ``row_weights[i]``.
-
-    A 0/1 mask keeps the rows where it is set; counts weight each row by
-    how many times it stands in for a larger set of rows.
+    With ``row_weights``, row i of each tensor is weighted by
+    ``row_weights[i]``: a 0/1 mask keeps the rows where it is set; counts
+    weight each row by how many times it stands in for a larger set of rows.
     """
-    x = as_tensor(x)
+    tensors = [as_tensor(t) for t in tensors]
+    total = 0.0
+    if row_weights is None:
+        for t in tensors:
+            total += np.einsum("ij,ij->", t.data, t.data)
+        return _record(Tensor(total), [(t, lambda g, t=t: 2.0 * g[0, 0] * t.data) for t in tensors])
     weights = np.asarray(row_weights, dtype=np.float64).reshape(-1)
-    if weights.shape[0] != x.shape[0]:
-        raise ValueError("row weight count does not match the row count")
-    out = Tensor(np.einsum("ij,ij,i->", x.data, x.data, weights))
     col = weights[:, None]
-    return _record(out, [(x, lambda g: (2.0 * g[0, 0]) * (col * x.data))])
+    for t in tensors:
+        if t.shape[0] != weights.shape[0]:
+            raise ValueError(f"{weights.shape[0]} row weights for {t.shape[0]} rows")
+        total += np.einsum("ij,ij,i->", t.data, t.data, weights)
+    return _record(Tensor(total),
+                   [(t, lambda g, t=t: (2.0 * g[0, 0]) * (col * t.data)) for t in tensors])
+
+
+def weighted_sum(terms, coeffs) -> Tensor:
+    """``coeffs[0] * terms[0] + coeffs[1] * terms[1] + ...``, summed in order."""
+    terms = [as_tensor(t) for t in terms]
+    coeffs = [float(c) for c in coeffs]
+    if not terms or len(coeffs) != len(terms):
+        raise ValueError(f"weighted_sum got {len(coeffs)} coefficients for {len(terms)} terms")
+    if any(t.shape != terms[0].shape for t in terms):
+        raise ValueError(f"weighted_sum terms differ in shape: {[t.shape for t in terms]}")
+    total = np.zeros(terms[0].shape)
+    for t, c in zip(terms, coeffs):
+        total += t.data * c
+    return _record(Tensor(total), [(t, lambda g, c=c: g * c) for t, c in zip(terms, coeffs)])
 
 
 def _scatter_matrix(idx: np.ndarray, rows: int) -> _sparse.csr_matrix:
@@ -324,12 +296,61 @@ def _scatter_matrix(idx: np.ndarray, rows: int) -> _sparse.csr_matrix:
     return _sparse.csr_matrix((np.ones(idx.size), order, indptr), shape=(rows, idx.size))
 
 
-def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
-    """Select rows of ``x`` by index; adjoint scatter-adds back."""
-    x = as_tensor(x)
-    idx = np.asarray(idx, dtype=np.int64)
-    out = Tensor(x.data[idx])
-    return _record(out, [(x, lambda g: _scatter_matrix(idx, x.shape[0]) @ g)])
+def _indices(idx, bound: int, what: str) -> np.ndarray:
+    """``idx`` as a flat int64 array, every entry checked to lie in [0, bound)."""
+    idx = np.asarray(idx, dtype=np.int64).reshape(-1)
+    if idx.size and (idx.min() < 0 or idx.max() >= bound):
+        raise ValueError(f"{what} must lie in [0, {bound})")
+    return idx
+
+
+def nll_rows(probs: Tensor, idx, labels, floor: float) -> Tensor:
+    """Summed negative log of ``probs[idx[k], labels[k]]`` over k, as 1x1.
+
+    A probability at or below ``floor`` is raised to it before the log and
+    gets no adjoint; a NaN one passes through, so it gives a NaN sum. The
+    other picked entries get ``-g / p``, and a row picked more than once
+    sums its adjoints in index order.
+    """
+    probs = as_tensor(probs)
+    n, classes = probs.shape
+    idx = _indices(idx, n, "row indices")
+    labels = _indices(labels, classes, "labels")
+    if labels.size != idx.size:
+        raise ValueError(f"nll_rows got {labels.size} labels for {idx.size} row indices")
+    if not floor > 0:
+        raise ValueError(f"the probability floor must be positive, got {floor}")
+    picked = probs.data[idx, labels]
+    kept = ~(picked <= floor)
+    clamped = np.where(kept, picked, floor)
+
+    def vjp(g):
+        grad = np.zeros((idx.size, classes))
+        grad[np.arange(idx.size), labels] = np.where(kept, (-g[0, 0]) / clamped, 0.0)
+        return _scatter_matrix(idx, n) @ grad
+
+    return _record(Tensor(-np.log(clamped).sum()), [(probs, vjp)])
+
+
+def group_mean_gap(h: Tensor, low, high) -> Tensor:
+    """Squared distance between the mean rows of ``h[low]`` and ``h[high]``, as 1x1.
+
+    Both groups must be nonempty, and a row may be listed more than once.
+    The adjoint gives each listed row ``2 g d / size`` (``d`` the gap, negated
+    for ``high``), summed back onto ``h``: the high rows first, then the low.
+    """
+    h = as_tensor(h)
+    low, high = _indices(low, h.shape[0], "low rows"), _indices(high, h.shape[0], "high rows")
+    if low.size == 0 or high.size == 0:
+        raise ValueError("group_mean_gap needs two nonempty groups")
+    gap = h.data[low].mean(axis=0, keepdims=True) + -1.0 * h.data[high].mean(axis=0, keepdims=True)
+
+    def spread(rows, sign):
+        return lambda g: _scatter_matrix(rows, h.shape[0]) @ np.repeat(
+            (sign * (2.0 * g[0, 0] * gap)) / rows.size, rows.size, axis=0)
+
+    return _record(Tensor(np.einsum("ij,ij->", gap, gap)),
+                   [(h, spread(high, -1.0)), (h, spread(low, 1.0))])
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -390,13 +411,11 @@ def film_debias(
             f"got {scale_u.shape} and {shift_u.shape}"
         )
     route = np.asarray(route).reshape(-1)
-    inv = np.asarray(degree_inverse, dtype=np.int64).reshape(-1)
+    inv = _indices(degree_inverse, scale_u.shape[0], "degree_inverse values")
     if route.shape[0] != n or inv.shape[0] != n:
         raise ValueError("route and degree_inverse lengths must match the row count")
     if n and (route.min() < -1 or route.max() >= len(nets)):
         raise ValueError(f"route values must lie in [-1, {len(nets)})")
-    if n and (inv.min() < 0 or inv.max() >= scale_u.shape[0]):
-        raise ValueError(f"degree_inverse values must lie in [0, {scale_u.shape[0]})")
     routed = np.flatnonzero(route >= 0)
     route, inv = route[routed], inv[routed]
     # parts[k]: net k's output rows; sources[k]: the ctx rows they read.

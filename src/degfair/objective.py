@@ -8,13 +8,19 @@ Four terms plus weight regularization, combined as
 All sums run over training nodes (not means); the parity and cross-context
 terms restrict the low/high degree groups to their training intersections.
 
-Each term has exactly one implementation, the taped one here. A caller that
-only needs a term's value (for example, to report a term whose coefficient
-is zero) evaluates it under :func:`degfair.autodiff.no_grad`.
+Each term is one autodiff op, and so one tape entry: the classification
+term is ``nll_rows``, the group-parity term ``group_mean_gap``, and the
+cross-context term, the modulation term and the weight norm are each one
+``sq_norm`` over several tensors (the cross-context term over the per-layer
+``film_debias`` outputs it builds first). The total is a ``weighted_sum``
+of the terms. A caller that only needs a term's value (for example, to
+report a term whose coefficient is zero) evaluates it under
+:func:`degfair.autodiff.no_grad`.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -22,18 +28,11 @@ import numpy as np
 
 from degfair.autodiff import (
     Tensor,
-    add,
-    add_scaled,
-    clamp_min,
     film_debias,
-    gather_rows,
-    log,
-    masked_sq_norm,
-    mean_rows,
-    mul,
-    scalar_mul,
+    group_mean_gap,
+    nll_rows,
     sq_norm,
-    sum_all,
+    weighted_sum,
 )
 from degfair.layers import ForwardTrace, ModelParams
 
@@ -72,26 +71,18 @@ def classification_loss(probs: Tensor, labels: np.ndarray, train_idx: np.ndarray
     train_idx = np.asarray(train_idx, dtype=np.int64)
     if train_idx.size == 0:
         raise ValueError("classification loss needs a nonempty training set")
-    onehot = np.zeros((train_idx.size, probs.shape[1]))
-    onehot[np.arange(train_idx.size), np.asarray(labels)[train_idx]] = 1.0
-    picked = gather_rows(probs, train_idx)
-    logp = log(clamp_min(picked, PROB_FLOOR))
-    return scalar_mul(sum_all(mul(logp, Tensor(onehot))), -1.0)
+    return nll_rows(probs, train_idx, np.asarray(labels)[train_idx], PROB_FLOOR)
 
 
 def fairness_loss(h_final: Tensor, low_tr: np.ndarray, high_tr: np.ndarray) -> Tensor:
     """Squared distance between the two groups' mean output rows."""
-    low_tr = np.asarray(low_tr, dtype=np.int64)
-    high_tr = np.asarray(high_tr, dtype=np.int64)
-    if low_tr.size == 0 or high_tr.size == 0:
+    if np.size(low_tr) == 0 or np.size(high_tr) == 0:
         warnings.warn(
             "one degree group has no training nodes; group-parity loss is 0",
             stacklevel=2,
         )
         return Tensor([[0.0]])
-    mean_low = mean_rows(gather_rows(h_final, low_tr))
-    mean_high = mean_rows(gather_rows(h_final, high_tr))
-    return sq_norm(add_scaled(mean_low, mean_high, -1.0))
+    return group_mean_gap(h_final, low_tr, high_tr)
 
 
 def debias_constraint(trace: ForwardTrace, low_tr: np.ndarray, high_tr: np.ndarray) -> Tensor:
@@ -103,19 +94,14 @@ def debias_constraint(trace: ForwardTrace, low_tr: np.ndarray, high_tr: np.ndarr
     layer's trace, routed to the other group's net on the training rows of
     the two groups and to -1 everywhere else, so only those rows are built.
     """
-    low_tr = np.asarray(low_tr, dtype=np.int64)
-    high_tr = np.asarray(high_tr, dtype=np.int64)
     opposite = np.full(trace.degree_inverse.shape[0], -1, dtype=np.int64)
-    opposite[low_tr] = 1
-    opposite[high_tr] = 0
-    total = Tensor([[0.0]])
-    for entry in trace.layers:
-        unused = film_debias(
-            entry.ctx, opposite, entry.debias, entry.scale_u, entry.shift_u,
-            trace.degree_inverse,
-        )
-        total = add(total, sq_norm(unused))
-    return total
+    opposite[np.asarray(low_tr, dtype=np.int64)] = 1
+    opposite[np.asarray(high_tr, dtype=np.int64)] = 0
+    return sq_norm(*[
+        film_debias(entry.ctx, opposite, entry.debias, entry.scale_u, entry.shift_u,
+                    trace.degree_inverse)
+        for entry in trace.layers
+    ])
 
 
 def film_constraint(trace: ForwardTrace, train_idx: np.ndarray) -> Tensor:
@@ -128,19 +114,13 @@ def film_constraint(trace: ForwardTrace, train_idx: np.ndarray) -> Tensor:
     train_idx = np.asarray(train_idx, dtype=np.int64)
     unique = trace.layers[0].scale_u.shape[0]
     counts = np.bincount(trace.degree_inverse[train_idx], minlength=unique)
-    total = Tensor([[0.0]])
-    for entry in trace.layers:
-        total = add(total, masked_sq_norm(entry.scale_u, counts))
-        total = add(total, masked_sq_norm(entry.shift_u, counts))
-    return total
+    rows = [t for entry in trace.layers for t in (entry.scale_u, entry.shift_u)]
+    return sq_norm(*rows, row_weights=counts)
 
 
 def weight_regularizer(params: ModelParams, include_debias: bool = True) -> Tensor:
     """Sum of squared entries of every weight matrix; biases excluded."""
-    total = Tensor([[0.0]])
-    for w in params.weight_tensors(include_debias=include_debias):
-        total = add(total, sq_norm(w))
-    return total
+    return sq_norm(*params.weight_tensors(include_debias=include_debias))
 
 
 def total_loss(
@@ -153,10 +133,10 @@ def total_loss(
     lam: float,
 ) -> tuple[Tensor, LossBreakdown]:
     """Combine the terms; returns the taped scalar and its float breakdown."""
-    if mu < 0 or lam < 0:
-        raise ValueError(f"mu and lambda must be non-negative, got {mu}, {lam}")
-    constrained = add(add(l3, l4), omega_reg)
-    total = add(add(l1, scalar_mul(l2, mu)), scalar_mul(constrained, lam))
+    if not all(math.isfinite(c) and c >= 0 for c in (mu, lam)):
+        raise ValueError(f"mu and lambda must be finite and non-negative, got {mu}, {lam}")
+    constrained = weighted_sum([l3, l4, omega_reg], [1.0, 1.0, 1.0])
+    total = weighted_sum([l1, l2, constrained], [1.0, mu, lam])
     breakdown = LossBreakdown(
         l1=l1.item(),
         l2=l2.item(),

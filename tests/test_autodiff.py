@@ -20,6 +20,16 @@ def tensor(rng, rows, cols, avoid_kinks=False, positive=False):
     return Tensor(x, requires_grad=True)
 
 
+def contract(out, cot):
+    """<out, cot> as a 1x1 tensor whose adjoint for ``out`` is ``g * cot``.
+
+    Turns an op's output into a scalar loss for tests; ``cot`` is a fixed
+    cotangent (a Tensor or an array).
+    """
+    cot = cot.data if isinstance(cot, Tensor) else np.asarray(cot)
+    return ad._record(Tensor((out.data * cot).sum()), [(out, lambda g: g[0, 0] * cot)])
+
+
 # ------------------------------------------------------------- forward values
 
 
@@ -52,8 +62,6 @@ def test_shape_errors():
         ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
     with pytest.raises(ValueError):
         ad.add(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))))
-    with pytest.raises(ValueError):
-        ad.log(Tensor([[1.0, -1.0]]))
 
 
 def _film_debias_with_bad_net():
@@ -66,7 +74,7 @@ def _film_debias_with_bad_net():
 
 def _backward_on_untracked_loss():
     with Tape() as tape:
-        loss = ad.sum_all(Tensor(np.ones((2, 2))))
+        loss = ad.sq_norm(Tensor(np.ones((2, 2))))
     tape.backward(loss)
 
 
@@ -79,7 +87,6 @@ def _attention_2x3(self_rows, self_cols, nbr_rows, x_rows):
 ONES_2X3, ONES_3X2 = Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2)))
 
 REJECTIONS = [
-    pytest.param(lambda: ad.mul(ONES_2X3, ONES_3X2), ValueError, "mul shape", id="mul"),
     pytest.param(lambda: ad.affine(ONES_2X3, ONES_3X2, ONES_2X3), ValueError, "affine shape",
                  id="affine"),
     pytest.param(lambda: ad.add_scaled(ONES_2X3, ONES_3X2, 2.0), ValueError,
@@ -94,8 +101,26 @@ REJECTIONS = [
                  r"got \(2, 1\) and \(2, 1\)", id="attention_matmul-nbr-rows"),
     pytest.param(lambda: _attention_2x3(2, 1, 3, 2), ValueError,
                  r"attention_matmul shape mismatch: \(2, 3\) @ \(2, 2\)", id="attention_matmul-x"),
-    pytest.param(lambda: ad.masked_sq_norm(ONES_2X3, np.ones(3)), ValueError,
-                 "row weight count", id="masked_sq_norm"),
+    pytest.param(lambda: ad.sq_norm(ONES_2X3, ONES_3X2, row_weights=np.ones(2)), ValueError,
+                 "2 row weights for 3 rows", id="sq_norm-row-weights"),
+    pytest.param(lambda: ad.nll_rows(ONES_2X3, [0, 1], [0], 1e-12), ValueError,
+                 "got 1 labels for 2 row indices", id="nll_rows-label-count"),
+    pytest.param(lambda: ad.nll_rows(ONES_2X3, [-1], [0], 1e-12), ValueError,
+                 r"row indices must lie in \[0, 2\)", id="nll_rows-negative-index"),
+    pytest.param(lambda: ad.nll_rows(ONES_2X3, [2], [0], 1e-12), ValueError,
+                 r"row indices must lie in \[0, 2\)", id="nll_rows-index-past-end"),
+    pytest.param(lambda: ad.nll_rows(ONES_2X3, [0], [3], 1e-12), ValueError,
+                 r"labels must lie in \[0, 3\)", id="nll_rows-label"),
+    pytest.param(lambda: ad.nll_rows(ONES_2X3, [0], [0], 0.0), ValueError,
+                 "floor must be positive", id="nll_rows-floor"),
+    pytest.param(lambda: ad.group_mean_gap(ONES_2X3, [], [1]), ValueError,
+                 "two nonempty groups", id="group_mean_gap-empty"),
+    pytest.param(lambda: ad.group_mean_gap(ONES_2X3, [0], [-1]), ValueError,
+                 r"high rows must lie in \[0, 2\)", id="group_mean_gap-index"),
+    pytest.param(lambda: ad.weighted_sum([ONES_2X3, ONES_2X3], [1.0]), ValueError,
+                 "got 1 coefficients for 2 terms", id="weighted_sum-count"),
+    pytest.param(lambda: ad.weighted_sum([ONES_2X3, ONES_3X2], [1.0, 1.0]), ValueError,
+                 "terms differ in shape", id="weighted_sum-shape"),
     pytest.param(_film_debias_with_bad_net, ValueError, "film_debias shape", id="film_debias-net"),
     pytest.param(lambda: Tensor(np.ones((1, 1, 1))), ValueError, "ndim=3", id="tensor-ndim"),
     pytest.param(lambda: ONES_2X3.item(), ValueError, "1x1", id="item"),
@@ -109,15 +134,17 @@ def test_rejects_bad_arguments(call, error, message):
         call()
 
 
-def test_clamp_min_propagates_nan():
-    x = Tensor([[np.nan, 0.01, 0.05, 0.5]], requires_grad=True)
+def test_nll_rows_propagates_nan():
+    # Entry 0 is NaN; entries 1 and 2 lie at and below the floor.
+    probs = Tensor([[np.nan, 0.01, 0.05, 0.5]], requires_grad=True)
     with Tape() as tape:
-        out = ad.clamp_min(x, 0.05)
-        loss = ad.sum_all(ad.mul(out, Tensor([[1.0, 2.0, 3.0, 4.0]])))
-    assert np.isnan(out.data[0, 0])
-    assert out.data[0, 1:].tolist() == [0.05, 0.05, 0.5]
+        loss = ad.nll_rows(probs, [0, 0, 0, 0], [0, 1, 2, 3], 0.05)
+    assert np.isnan(loss.item())
     tape.backward(loss)
-    assert x.grad[0, 1:].tolist() == [0.0, 0.0, 4.0]
+    assert np.isnan(probs.grad[0, 0])
+    assert probs.grad[0, 1:].tolist() == [0.0, 0.0, -2.0]
+    floored = ad.nll_rows(probs, [0, 0, 0], [1, 2, 3], 0.05)
+    assert floored.item() == pytest.approx(-(2.0 * math.log(0.05) + math.log(0.5)), rel=1e-15)
 
 
 def test_film_debias_values_and_rows():
@@ -133,7 +160,7 @@ def test_film_debias_values_and_rows():
     inv = np.zeros(3, dtype=np.int64)
     with Tape() as tape:
         out = ad.film_debias(x, np.array([1, -1, 0]), nets, scale, shift, inv)
-        loss = ad.sum_all(out)
+        loss = contract(out, np.ones(out.shape))
     assert out.data.tolist() == [[2.0, 4.0], [6.0, 7.0]]
     tape.backward(loss)
     assert x.grad.tolist() == [[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]]
@@ -150,7 +177,7 @@ def test_film_debias_values_and_rows():
     inv = np.array([0, 1, 0])
     with Tape() as tape:
         out = ad.film_debias(x, np.array([1, -1, 0]), nets, scale, shift, inv)
-        loss = ad.sum_all(out)
+        loss = contract(out, np.ones(out.shape))
     assert out.data.tolist() == [[4.5, 3.5], [12.5, 6.5]]
     tape.backward(loss)
     assert x.grad.tolist() == [[4.0, 2.0], [0.0, 0.0], [2.0, 1.0]]
@@ -215,7 +242,7 @@ def test_film_debias_property_matches_dense_oracle_and_fd(case):
 
     with Tape() as tape:
         out = ad.film_debias(x, route, nets, scale_u, shift_u, inv)
-        loss = ad.sum_all(ad.mul(out, cot))
+        loss = contract(out, cot)
     expected = film_debias_oracle(
         x.data, route, [(w.data, b.data) for w, b in nets], scale_u.data,
         shift_u.data, inv,
@@ -231,7 +258,7 @@ def test_film_debias_property_matches_dense_oracle_and_fd(case):
     assert np.array_equal(shift_u.grad, bincount_scatter(inv[routed], cot.data, unique))
 
     def program():
-        return ad.sum_all(ad.mul(ad.film_debias(x, route, nets, scale_u, shift_u, inv), cot))
+        return contract(ad.film_debias(x, route, nets, scale_u, shift_u, inv), cot)
 
     params = [scale_u, shift_u] + [t for net in nets for t in net] + ([x] if n else [])
     # Each coordinate enters the program linearly, so central differences are
@@ -248,8 +275,8 @@ def test_film_debias_property_matches_dense_oracle_and_fd(case):
 
 
 @st.composite
-def gather_rows_cases(draw):
-    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+def nll_rows_cases(draw):
+    rows, classes = draw(st.integers(1, 6)), draw(st.integers(1, 4))
     kind = draw(st.sampled_from(["empty", "every row", "duplicates"]))
     if kind == "empty":
         idx = []
@@ -257,28 +284,35 @@ def gather_rows_cases(draw):
         idx = draw(st.permutations(range(rows)))
     else:
         idx = draw(st.lists(st.integers(0, rows - 1), min_size=1, max_size=12))
-    return rows, cols, np.array(idx, dtype=np.int64), draw(st.integers(0, 2**32 - 1))
+    labels = draw(st.lists(st.integers(0, classes - 1), min_size=len(idx), max_size=len(idx)))
+    return (rows, classes, np.array(idx, dtype=np.int64), np.array(labels, dtype=np.int64),
+            draw(st.integers(0, 2**32 - 1)))
 
 
 @settings(max_examples=80, deadline=None)
-@given(gather_rows_cases())
-def test_gather_rows_property_adjoint_matches_dense_oracle_and_bincount(case):
-    rows, cols, idx, seed = case
+@given(nll_rows_cases())
+def test_nll_rows_property_adjoint_matches_dense_oracle_and_bincount(case):
+    rows, classes, idx, labels, seed = case
     rng = np.random.default_rng(seed)
-    x = tensor(rng, rows, cols)
-    # Large cotangents of mixed sign make the summation order visible.
-    cot = rng.standard_normal((idx.size, cols)) * 10.0 ** rng.integers(-8, 9, (idx.size, 1))
+    # Probabilities over 14 decades make the summation order of a row picked
+    # more than once visible; those at or below the floor get no adjoint.
+    floor = 1e-12
+    probs = Tensor(10.0 ** rng.uniform(-14, 0, (rows, classes)), requires_grad=True)
+    coeff = rng.standard_normal() * 10.0 ** rng.integers(-8, 9)
     with Tape() as tape:
-        out = ad.gather_rows(x, idx)
-        loss = ad.sum_all(ad.mul(out, Tensor(cot)))
-    assert out.shape == (idx.size, cols)
-    assert np.array_equal(out.data, x.data[idx])
+        out = ad.nll_rows(probs, idx, labels, floor)
+        loss = ad.weighted_sum([out], [coeff])
+    picked = probs.data[idx, labels]
+    assert out.item() == pytest.approx(-np.log(np.maximum(picked, floor)).sum(), rel=1e-12)
     tape.backward(loss)
+    cot = np.zeros((idx.size, classes))
+    cot[np.arange(idx.size), labels] = np.where(picked > floor, -coeff / picked, 0.0)
     one_hot = np.zeros((idx.size, rows))
     one_hot[np.arange(idx.size), idx] = 1.0
     dense = one_hot.T @ cot
-    assert np.allclose(x.grad, dense, rtol=1e-12, atol=1e-12 * (1.0 + np.abs(cot).max(initial=0.0)))
-    assert np.array_equal(x.grad, bincount_scatter(idx, cot, rows))
+    assert np.allclose(probs.grad, dense, rtol=1e-12,
+                       atol=1e-12 * (1.0 + np.abs(cot).max(initial=0.0)))
+    assert np.array_equal(probs.grad, bincount_scatter(idx, cot, rows))
 
 
 @st.composite
@@ -343,7 +377,7 @@ def test_attention_matmul_property_matches_dense_oracle_and_fd(case):
     expect, g_self, g_nbr, g_x = _dense_attention(mask, s_self.data, s_nbr.data, x.data, cot)
 
     def program():
-        return ad.sum_all(ad.mul(ad.attention_matmul(s_self, s_nbr, op, x), Tensor(cot)))
+        return contract(ad.attention_matmul(s_self, s_nbr, op, x), cot)
 
     out = ad.attention_matmul(s_self, s_nbr, op, x)
     assert out.shape == (rows, width)
@@ -374,11 +408,12 @@ def test_attention_matmul_subtracts_the_row_max():
 
 
 def test_backward_sum_gives_ones():
-    w = Tensor(np.arange(4.0).reshape(2, 2), requires_grad=True)
+    a, b = Tensor([[2.0]], requires_grad=True), Tensor([[-3.0]], requires_grad=True)
     with Tape() as tape:
-        loss = ad.sum_all(w)
+        loss = ad.weighted_sum([a, b], [1.0, 1.0])
+    assert loss.item() == -1.0
     tape.backward(loss)
-    assert np.array_equal(w.grad, np.ones((2, 2)))
+    assert a.grad.tolist() == [[1.0]] and b.grad.tolist() == [[1.0]]
 
 
 def test_backward_sq_norm_gives_2w():
@@ -416,7 +451,7 @@ def test_backward_rejects_non_scalar():
 def test_backward_twice_is_an_error():
     w = Tensor(np.ones((1, 1)), requires_grad=True)
     with Tape() as tape:
-        loss = ad.sum_all(w)
+        loss = ad.sq_norm(w)
     tape.backward(loss)
     with pytest.raises(TapeError):
         tape.backward(loss)
@@ -427,17 +462,16 @@ def test_backward_frees_the_tape_as_it_replays_it():
     w, v = tensor(rng, 3, 4), tensor(rng, 5, 4)
     x = Tensor(rng.standard_normal((5, 3)))
     scale = rng.standard_normal((5, 4))
-    want_w = x.data.T @ scale
+    want_w, want_v = x.data.T @ scale, 2.0 * scale
     captured = weakref.ref(scale)
     with Tape() as tape:
-        h = ad.matmul(x, w)
-        outputs = [h, ad.mul(h, Tensor(scale))]  # only this op's vjp holds `scale`
+        outputs = [ad.matmul(x, w)]
         outputs.append(ad.add(outputs[-1], v))
         outputs.append(ad.add(outputs[-1], v))
-        outputs.append(ad.sum_all(outputs[-1]))
+        outputs.append(contract(outputs[-1], scale))  # only this op's vjp holds `scale`
     del scale
     recorded = len(tape)
-    assert recorded == 5 and captured() is not None
+    assert recorded == 4 and captured() is not None
     tape.backward(outputs[-1])
     assert len(tape) == recorded
     assert captured() is None
@@ -445,11 +479,29 @@ def test_backward_frees_the_tape_as_it_replays_it():
     # Leaf grads against the dense oracle: d/dw sum((x @ w) * scale) = x.T @ scale,
     # and v enters twice with identity adjoints into buffers of its own.
     assert np.allclose(w.grad, want_w, rtol=1e-12, atol=1e-12)
-    assert np.array_equal(v.grad, np.full((5, 4), 2.0))
+    assert np.array_equal(v.grad, want_v)
     assert not np.shares_memory(v.grad, w.grad)
     with pytest.raises(TapeError):
         tape.backward(outputs[-1])
     assert len(tape) == recorded
+
+
+def test_backward_hands_an_identity_grad_to_one_parent_only():
+    # add's adjoint is the output's own grad for both parents: the first takes
+    # the buffer, the second gets a copy, so no two grads share memory.
+    rng = np.random.default_rng(9)
+    a, b, v = tensor(rng, 3, 2), tensor(rng, 3, 2), tensor(rng, 3, 2)
+    cot = rng.standard_normal((3, 2))
+    with Tape() as tape:
+        loss = contract(ad.add(a, b), cot)
+    tape.backward(loss)
+    assert np.array_equal(a.grad, cot) and np.array_equal(b.grad, cot)
+    assert not np.shares_memory(a.grad, b.grad)
+    # The same parent twice: the second contribution adds into the taken buffer.
+    with Tape() as tape:
+        loss = contract(ad.add(v, v), cot)
+    tape.backward(loss)
+    assert np.array_equal(v.grad, 2.0 * cot)
 
 
 def test_backward_is_linear():
@@ -461,7 +513,7 @@ def test_backward_is_linear():
         w.grad = None
         with Tape() as tape:
             f = ad.sq_norm(ad.matmul(x, w))
-            g = ad.sum_all(ad.mul(w, w))
+            g = ad.sq_norm(w)
             loss = ad.add(ad.scalar_mul(f, a), ad.scalar_mul(g, b))
         tape.backward(loss)
         return w.grad.copy()
@@ -474,7 +526,7 @@ def test_backward_is_linear():
 
 def test_no_tape_means_no_tracking():
     w = Tensor(np.ones((2, 2)), requires_grad=True)
-    out = ad.sum_all(w)
+    out = ad.sq_norm(w)
     assert not out.requires_grad
     assert w.grad is None
 
@@ -482,19 +534,19 @@ def test_no_tape_means_no_tracking():
 def test_no_grad_records_nothing_inside_a_tape():
     w = Tensor(np.ones((2, 2)), requires_grad=True)
     with Tape() as tape:
-        ad.sum_all(w)
+        ad.sq_norm(w)
         recorded = len(tape)
         with ad.no_grad():
-            out = ad.sum_all(ad.sq_norm(w))
+            out = ad.sq_norm(ad.sq_norm(w))
             with ad.no_grad():
-                ad.sum_all(w)
-            ad.sum_all(w)
+                ad.sq_norm(w)
+            ad.sq_norm(w)
             assert len(tape) == recorded
             assert not out.requires_grad
-        loss = ad.sum_all(w)
+        loss = ad.sq_norm(w)
         assert len(tape) == recorded + 1
     tape.backward(loss)
-    assert np.array_equal(w.grad, np.ones((2, 2)))
+    assert np.array_equal(w.grad, 2.0 * w.data)
 
 
 def test_no_grad_restores_the_stack_and_allows_an_inner_tape():
@@ -502,15 +554,15 @@ def test_no_grad_restores_the_stack_and_allows_an_inner_tape():
     with Tape() as outer:
         with ad.no_grad():
             with Tape() as inner:
-                ad.sum_all(w)
+                ad.sq_norm(w)
             assert len(inner) == 1
             with pytest.raises(KeyError):
                 with ad.no_grad():
                     raise KeyError("leaves the region")
-            ad.sum_all(w)
-        ad.sum_all(w)
+            ad.sq_norm(w)
+        ad.sq_norm(w)
     assert len(outer) == 1
-    assert not ad.sum_all(w).requires_grad  # no tape left active
+    assert not ad.sq_norm(w).requires_grad  # no tape left active
 
 
 # ------------------------------------------------------- per-op adjoint sweep
@@ -536,19 +588,23 @@ def op_programs(rng):
     b = tensor(rng, d, k)
     c = tensor(rng, n, d)
     bias = tensor(rng, 1, d)
-    pos = tensor(rng, n, d, positive=True)
+    # Positive "probabilities", one of them below the floor of 0.05, picked
+    # from rows of which some repeat (n + 2 picks from n rows).
+    probs = tensor(rng, n, d, positive=True)
+    labels = rng.integers(0, d, size=n + 2)
     kinky = tensor(rng, n, d, avoid_kinks=True)
     cot = Tensor(rng.standard_normal((n, d)))  # fixed cotangent
     cot_k = Tensor(rng.standard_normal((n, k)))
     idx = rng.integers(0, n, size=n + 2)
+    probs.data[idx[0], labels[0]] = 0.01
+    low, high = rng.integers(0, n, size=n + 1), rng.integers(0, n, size=3)
+    counts = rng.integers(0, 3, size=n).astype(float)
     sp = _random_csr(rng, n + 1, n)
     sp_cot = Tensor(rng.standard_normal((n + 1, d)))
     # Attention on a random pattern whose row 0 is empty.
     mask = rng.random((n + 1, n)) < 0.5
     mask[0] = False
     score_op, s_self, s_nbr = _attention_scores(rng, mask)
-    gathered_cot = Tensor(rng.standard_normal((idx.size, d)))
-    mean_cot = Tensor(rng.standard_normal((1, d)))
     bias_k = tensor(rng, 1, k)
     # Rows 0-2 go to net 0, net 1 and nowhere; net 2 gets no rows at all.
     # Rows 0 and 3 share a degree row; degree row 3 is used by no row.
@@ -559,41 +615,38 @@ def op_programs(rng):
     scale_u, shift_u = tensor(rng, 4, k), tensor(rng, 4, k)
     routed_cot = Tensor(rng.standard_normal((np.count_nonzero(route >= 0), k)))
 
-    def through(out, co):
-        return ad.sum_all(ad.mul(out, co))
-
     return {
-        "matmul": (lambda: through(ad.matmul(a, b), cot_k), [a, b]),
-        "add": (lambda: through(ad.add(a, c), cot), [a, c]),
-        "add_bias": (lambda: through(ad.add(a, bias), cot), [a, bias]),
-        "mul": (lambda: through(ad.mul(a, c), cot), [a, c]),
-        "scalar_mul": (lambda: through(ad.scalar_mul(a, -1.7), cot), [a]),
-        "relu": (lambda: through(ad.relu(kinky), cot), [kinky]),
-        "softmax_rows": (lambda: through(ad.softmax_rows(a), cot), [a]),
-        "log": (lambda: through(ad.log(pos), cot), [pos]),
-        "clamp_min": (lambda: through(ad.clamp_min(kinky, 0.05), cot), [kinky]),
-        "sum_all": (lambda: ad.scalar_mul(ad.sum_all(a), 1.3), [a]),
-        "mean_rows": (lambda: through(ad.mean_rows(a), mean_cot), [a]),
+        "matmul": (lambda: contract(ad.matmul(a, b), cot_k), [a, b]),
+        "add": (lambda: contract(ad.add(a, c), cot), [a, c]),
+        "add_bias": (lambda: contract(ad.add(a, bias), cot), [a, bias]),
+        "scalar_mul": (lambda: contract(ad.scalar_mul(a, -1.7), cot), [a]),
+        "relu": (lambda: contract(ad.relu(kinky), cot), [kinky]),
+        "softmax_rows": (lambda: contract(ad.softmax_rows(a), cot), [a]),
         "sq_norm": (lambda: ad.sq_norm(a), [a]),
-        "gather_rows": (lambda: through(ad.gather_rows(a, idx), gathered_cot), [a]),
+        "sq_norm_several": (lambda: ad.sq_norm(a, c, bias), [a, c, bias]),
+        "sq_norm_row_weights": (lambda: ad.sq_norm(a, c, row_weights=counts), [a, c]),
+        "weighted_sum": (lambda: contract(ad.weighted_sum([a, c, a], [0.5, -1.3, 2.0]), cot),
+                         [a, c]),
+        "nll_rows": (lambda: ad.nll_rows(probs, idx, labels, 0.05), [probs]),
+        "group_mean_gap": (lambda: ad.group_mean_gap(a, low, high), [a]),
         "attention_matmul": (
-            lambda: through(ad.attention_matmul(s_self, s_nbr, score_op, a), sp_cot),
+            lambda: contract(ad.attention_matmul(s_self, s_nbr, score_op, a), sp_cot),
             [s_self, s_nbr, a],
         ),
-        "sparse_matmul": (lambda: through(ad.sparse_matmul(sp, a), sp_cot), [a]),
-        "affine": (lambda: through(ad.affine(a, b, Tensor(np.zeros((1, k)))
+        "sparse_matmul": (lambda: contract(ad.sparse_matmul(sp, a), sp_cot), [a]),
+        "affine": (lambda: contract(ad.affine(a, b, Tensor(np.zeros((1, k)))
                                              if not bias_k.requires_grad else bias_k),
                                    cot_k), [a, b, bias_k]),
-        "add_scaled": (lambda: through(ad.add_scaled(a, c, -0.7), cot), [a, c]),
+        "add_scaled": (lambda: contract(ad.add_scaled(a, c, -0.7), cot), [a, c]),
         "film_debias": (
-            lambda: through(
+            lambda: contract(
                 ad.film_debias(routed_x, route, routed_nets, scale_u, shift_u, inv),
                 routed_cot,
             ),
             [routed_x, scale_u, shift_u] + [t for net in routed_nets for t in net],
         ),
         "dropout": (
-            lambda: through(
+            lambda: contract(
                 ad.dropout(a, 0.4, np.random.default_rng(123)), cot
             ),
             [a],
@@ -627,7 +680,7 @@ def test_sparse_matmul_adjoint_equals_stored_transpose(width):
     x = Tensor(rng.standard_normal((20, width)), requires_grad=True)
     cot = rng.standard_normal((30, width))
     with Tape() as tape:
-        loss = ad.sum_all(ad.mul(ad.sparse_matmul(op, x), Tensor(cot)))
+        loss = contract(ad.sparse_matmul(op, x), cot)
     tape.backward(loss)
     assert np.array_equal(x.grad, sparse.csr_matrix(dense.T) @ cot)
     assert not x.grad[2].any()

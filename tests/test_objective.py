@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from degfair import autodiff as ad
+from degfair import training
 from degfair.autodiff import Tape, Tensor
-from degfair.graphs import partition_contrast, synth_generate
+from degfair.graphs import partition_contrast, split_nodes, synth_generate
 from degfair.layers import (
     ForwardTrace,
     LayerTraceEntry,
@@ -24,7 +25,7 @@ from degfair.objective import (
     weight_regularizer,
 )
 from degfair.optim import Adam
-from degfair.training import TrainConfig, init_params
+from degfair.training import TrainConfig, init_params, train
 
 
 def scalar(x):
@@ -298,9 +299,12 @@ def test_total_reduces_to_l1():
 
 
 def test_total_rejects_negative_weights():
-    with pytest.raises(ValueError):
-        total_loss(scalar(1), scalar(1), scalar(1), scalar(1), scalar(1),
-                   mu=-1.0, lam=0.0)
+    # Non-finite weights too: a NaN one, or an infinite one times a zero
+    # term, would make the total NaN.
+    for mu, lam in ((-1.0, 0.0), (0.0, -1e-4), (math.nan, 1e-4), (1e-3, math.nan),
+                    (math.inf, 1e-4), (1e-3, math.inf), (-math.inf, 0.0)):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            total_loss(scalar(1), scalar(0), scalar(1), scalar(1), scalar(0), mu=mu, lam=lam)
 
 
 def test_total_linear_in_mu_and_lambda():
@@ -457,3 +461,32 @@ def test_large_mu_drives_group_means_together():
         tape.backward(loss)
         opt.step()
     assert fairness_loss(h, low, high).item() < 1e-6
+
+
+def test_degfair_epoch_records_at_most_ten_objective_entries(monkeypatch):
+    # Each term is one op: l1, l2, l4 and the weight norm one entry each, l3
+    # one film_debias per layer plus one sq_norm, and the total two. Counted
+    # in train() itself, as the entries recorded between the end of the
+    # forward and the start of backward.
+    forward_end, backward_start = [], []
+    model_forward = training.model_forward
+    backward = Tape.backward
+
+    def counted_forward(*args, **kwargs):
+        trace = model_forward(*args, **kwargs)
+        stack = ad._stack()
+        if stack and stack[-1] is not None:  # the eval forwards run off the tape
+            forward_end.append(len(stack[-1]))
+        return trace
+
+    def counted_backward(tape, loss):
+        backward_start.append(len(tape))
+        return backward(tape, loss)
+
+    monkeypatch.setattr(training, "model_forward", counted_forward)
+    monkeypatch.setattr(Tape, "backward", counted_backward)
+    g = synth_generate(300, 2, 0.9, 8, seed=0)
+    split = split_nodes(g.num_nodes, (0.6, 0.2, 0.2), seed=0)
+    train(g, split, TrainConfig(base_gnn="gcn", hidden_dim=8, mu=1e-3, lam=1e-4, epochs=2))
+    objective = [b - f for f, b in zip(forward_end, backward_start)]
+    assert len(objective) == 2 and max(objective) <= 10, objective
