@@ -26,8 +26,6 @@ __all__ = [
     "FixedSparse",
     "as_tensor",
     "matmul",
-    "add",
-    "scalar_mul",
     "relu",
     "softmax_rows",
     "sq_norm",
@@ -35,7 +33,6 @@ __all__ = [
     "group_mean_gap",
     "weighted_sum",
     "affine",
-    "add_scaled",
     "film_debias",
     "sparse_matmul",
     "attention_matmul",
@@ -142,7 +139,8 @@ class Tape:
         # its vjps run: the first parent an identity vjp hands it to takes the
         # buffer, and any later one copies it. A vjp returns ``g`` itself or a
         # fresh array, never a view, so no two tensors then share a grad and
-        # later contributions add in place.
+        # later contributions add in place, except into ``g`` while this
+        # entry's vjps still read it: that sum goes to a fresh buffer.
         owned: set[int] = set()
         entries = self._entries
         while entries:
@@ -160,6 +158,10 @@ class Tape:
                         contrib = contrib.copy()
                     parent.grad = contrib
                     owned.add(id(contrib))
+                elif parent.grad is g:
+                    owned.discard(id(g))
+                    parent.grad = g + contrib
+                    owned.add(id(parent.grad))
                 else:
                     np.add(parent.grad, contrib, out=parent.grad)
 
@@ -202,28 +204,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         out,
         [(a, lambda g: g @ b.data.T), (b, lambda g: a.data.T @ g)],
     )
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; ``b`` may also be a 1xd bias row broadcast over rows."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.shape == b.shape:
-        out = Tensor(a.data + b.data)
-        return _record(out, [(a, lambda g: g), (b, lambda g: g)])
-    if b.shape == (1, a.shape[1]):
-        out = Tensor(a.data + b.data)
-        return _record(
-            out,
-            [(a, lambda g: g), (b, lambda g: g.sum(axis=0, keepdims=True))],
-        )
-    raise ValueError(f"add shape mismatch: {a.shape} + {b.shape}")
-
-
-def scalar_mul(a: Tensor, c: float) -> Tensor:
-    a = as_tensor(a)
-    c = float(c)
-    out = Tensor(a.data * c)
-    return _record(out, [(a, lambda g: g * c)])
 
 
 def relu(x: Tensor) -> Tensor:
@@ -270,17 +250,30 @@ def sq_norm(*tensors: Tensor, row_weights=None) -> Tensor:
 
 
 def weighted_sum(terms, coeffs) -> Tensor:
-    """``coeffs[0] * terms[0] + coeffs[1] * terms[1] + ...``, summed in order."""
+    """``coeffs[0] * terms[0] + coeffs[1] * terms[1] + ...``, summed in order.
+
+    Every term has the first term's shape or is a 1xd bias row, added to
+    every row. A term with coefficient 1 is added unscaled and its adjoint
+    is ``g`` itself; another gets ``g * c``. A bias row gets the column sum
+    of its scaled ``g``.
+    """
     terms = [as_tensor(t) for t in terms]
     coeffs = [float(c) for c in coeffs]
     if not terms or len(coeffs) != len(terms):
         raise ValueError(f"weighted_sum got {len(coeffs)} coefficients for {len(terms)} terms")
-    if any(t.shape != terms[0].shape for t in terms):
+    shape = terms[0].shape
+    if any(t.shape not in (shape, (1, shape[1])) for t in terms):
         raise ValueError(f"weighted_sum terms differ in shape: {[t.shape for t in terms]}")
-    total = np.zeros(terms[0].shape)
-    for t, c in zip(terms, coeffs):
-        total += t.data * c
-    return _record(Tensor(total), [(t, lambda g, c=c: g * c) for t, c in zip(terms, coeffs)])
+    scaled = (t.data if c == 1.0 else t.data * c for t, c in zip(terms, coeffs))
+    total = next(scaled) + next(scaled, 0.0)
+    for part in scaled:
+        total += part
+
+    def vjp(t, c):
+        scale = (lambda g: g) if c == 1.0 else (lambda g: g * c)
+        return scale if t.shape == shape else lambda g: scale(g).sum(axis=0, keepdims=True)
+
+    return _record(Tensor(total), [(t, vjp(t, c)) for t, c in zip(terms, coeffs)])
 
 
 def _scatter_matrix(idx: np.ndarray, rows: int) -> _sparse.csr_matrix:
@@ -296,12 +289,14 @@ def _scatter_matrix(idx: np.ndarray, rows: int) -> _sparse.csr_matrix:
     return _sparse.csr_matrix((np.ones(idx.size), order, indptr), shape=(rows, idx.size))
 
 
-def _indices(idx, bound: int, what: str) -> np.ndarray:
-    """``idx`` as a flat int64 array, every entry checked to lie in [0, bound)."""
-    idx = np.asarray(idx, dtype=np.int64).reshape(-1)
-    if idx.size and (idx.min() < 0 or idx.max() >= bound):
-        raise ValueError(f"{what} must lie in [0, {bound})")
-    return idx
+def _indices(idx, bound: int, what: str, low: int = 0) -> np.ndarray:
+    """``idx`` as a flat int64 array, every entry an integer in [low, bound)."""
+    idx = np.asarray(idx).reshape(-1)
+    if idx.size and idx.dtype.kind not in "iu":
+        raise ValueError(f"{what} must be integers, got {idx.dtype}")
+    if idx.size and (idx.min() < low or idx.max() >= bound):
+        raise ValueError(f"{what} must lie in [{low}, {bound})")
+    return idx.astype(np.int64, copy=False)
 
 
 def nll_rows(probs: Tensor, idx, labels, floor: float) -> Tensor:
@@ -369,16 +364,6 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     )
 
 
-def add_scaled(a: Tensor, b: Tensor, c: float) -> Tensor:
-    """a + c * b in one op, same shapes."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.shape != b.shape:
-        raise ValueError(f"add_scaled shape mismatch: {a.shape} + {c} * {b.shape}")
-    c = float(c)
-    out = Tensor(a.data + c * b.data)
-    return _record(out, [(a, lambda g: g), (b, lambda g: c * g)])
-
-
 def film_debias(
     ctx: Tensor,
     route: np.ndarray,
@@ -410,12 +395,10 @@ def film_debias(
             f"film_debias needs scale/shift rows of width {width}, "
             f"got {scale_u.shape} and {shift_u.shape}"
         )
-    route = np.asarray(route).reshape(-1)
+    route = _indices(route, len(nets), "route values", low=-1)
     inv = _indices(degree_inverse, scale_u.shape[0], "degree_inverse values")
     if route.shape[0] != n or inv.shape[0] != n:
         raise ValueError("route and degree_inverse lengths must match the row count")
-    if n and (route.min() < -1 or route.max() >= len(nets)):
-        raise ValueError(f"route values must lie in [-1, {len(nets)})")
     routed = np.flatnonzero(route >= 0)
     route, inv = route[routed], inv[routed]
     # parts[k]: net k's output rows; sources[k]: the ctx rows they read.

@@ -23,17 +23,15 @@ from scipy import sparse
 from degfair.autodiff import (
     FixedSparse,
     Tensor,
-    add,
-    add_scaled,
     affine,
     attention_matmul,
     dropout,
     film_debias,
     matmul,
     relu,
-    scalar_mul,
     softmax_rows,
     sparse_matmul,
+    weighted_sum,
 )
 from degfair.graphs import Graph, GroupAssignment, adjacency, local_contexts
 
@@ -320,10 +318,30 @@ def _gat_head(h_prev: Tensor, head: GatHead, pattern: FixedSparse) -> Tensor:
     return attention_matmul(matmul(z, head.att_self), matmul(z, head.att_nbr), pattern, z)
 
 
+def _aggregate_terms(
+    h_prev: Tensor, ops: GraphOperators, omega: dict, kind: str
+) -> tuple[list[Tensor], list[float]]:
+    """The terms of the base aggregation and their coefficients, bias row last."""
+    if ops.kind != kind:
+        raise ValueError(f"operators were built for {ops.kind}, not {kind!r}")
+    try:
+        if kind == "gcn":
+            terms = [sparse_matmul(ops.agg, matmul(h_prev, omega["w"]))]
+        elif kind == "sage":
+            neigh = sparse_matmul(ops.agg, h_prev)
+            terms = [matmul(h_prev, omega["w_self"]), matmul(neigh, omega["w_neigh"])]
+        else:
+            terms = [_gat_head(h_prev, head, ops.agg) for head in omega["heads"]]
+        share = 1.0 / len(terms) if kind == "gat" else 1.0  # GAT averages its heads
+        return terms + [omega["b"]], [share] * len(terms) + [1.0]
+    except KeyError as exc:
+        raise ValueError(f"missing {kind} weight {exc.args[0]!r}") from None
+
+
 def base_aggregate(
     h_prev: Tensor, ops: GraphOperators, omega: dict, kind: str
 ) -> Tensor:
-    """Pre-activation output of the plain base aggregator.
+    """Pre-activation output of the plain base aggregator, one ``weighted_sum``.
 
     Every backbone aggregates through the one operator ``ops.agg``, which
     must have been built for ``kind``. GCN: normalized-adjacency
@@ -335,26 +353,7 @@ def base_aggregate(
     is positively homogeneous and argmax-blind to the per-node magnitude
     that carries degree information.
     """
-    if ops.kind != kind:
-        raise ValueError(f"operators were built for {ops.kind}, not {kind!r}")
-    try:
-        if kind == "gcn":
-            out = sparse_matmul(ops.agg, matmul(h_prev, omega["w"]))
-        elif kind == "sage":
-            neigh = sparse_matmul(ops.agg, h_prev)
-            out = add(
-                matmul(h_prev, omega["w_self"]), matmul(neigh, omega["w_neigh"])
-            )
-        else:
-            heads = omega["heads"]
-            out = _gat_head(h_prev, heads[0], ops.agg)
-            for head in heads[1:]:
-                out = add(out, _gat_head(h_prev, head, ops.agg))
-            if len(heads) > 1:
-                out = scalar_mul(out, 1.0 / len(heads))
-        return add(out, omega["b"])
-    except KeyError as exc:
-        raise ValueError(f"missing {kind} weight {exc.args[0]!r}") from None
+    return weighted_sum(*_aggregate_terms(h_prev, ops, omega, kind))
 
 
 def _activate(pre: Tensor, activation: str) -> Tensor:
@@ -384,9 +383,11 @@ def fair_layer_forward(
     the scale/shift rows of its degree, which the FiLM nets generate once per
     unique degree from encodings of width ``film_scale.w.shape[0]``. The
     trace keeps the context embedding, those unique-degree rows and both
-    nets for the training constraints. With eps == 0 the own-group context
-    is neither computed nor added, so the output is bit-identical to the
-    plain base aggregation.
+    nets for the training constraints. The pre-activation is one
+    ``weighted_sum``: the aggregation terms, the bias row, then the context
+    with coefficient ``eps``. With eps == 0 the own-group context is neither
+    computed nor added, so the output is bit-identical to the plain base
+    aggregation.
     """
     if ctx is None:
         ctx = sparse_matmul(ops.ctx_mean, h_prev)
@@ -394,12 +395,12 @@ def fair_layer_forward(
     scale_u, shift_u = layer.film_scale(enc), layer.film_shift(enc)
     debias = (layer.debias_low, layer.debias_high)
 
-    pre = base_aggregate(h_prev, ops, layer.omega, kind)
+    terms, coeffs = _aggregate_terms(h_prev, ops, layer.omega, kind)
     if eps != 0.0:
-        own = film_debias(ctx, ops.group, debias, scale_u, shift_u, ops.degree_inverse)
-        pre = add_scaled(pre, own, eps)
+        terms.append(film_debias(ctx, ops.group, debias, scale_u, shift_u, ops.degree_inverse))
+        coeffs.append(eps)
     return LayerTraceEntry(
-        h=_activate(pre, activation),
+        h=_activate(weighted_sum(terms, coeffs), activation),
         ctx=ctx,
         scale_u=scale_u,
         shift_u=shift_u,

@@ -61,7 +61,13 @@ def test_shape_errors():
     with pytest.raises(ValueError):
         ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
     with pytest.raises(ValueError):
-        ad.add(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))))
+        ad.weighted_sum([Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2)))], [1.0, 1.0])
+
+
+def _film_debias_2_rows(route, degree_inverse):
+    nets = [(Tensor(np.ones((3, 2))), Tensor(np.ones((1, 2))))]
+    ad.film_debias(Tensor(np.ones((2, 3))), route, nets, Tensor(np.zeros((2, 2))),
+                   Tensor(np.zeros((2, 2))), degree_inverse)
 
 
 def _film_debias_with_bad_net():
@@ -89,8 +95,6 @@ ONES_2X3, ONES_3X2 = Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2)))
 REJECTIONS = [
     pytest.param(lambda: ad.affine(ONES_2X3, ONES_3X2, ONES_2X3), ValueError, "affine shape",
                  id="affine"),
-    pytest.param(lambda: ad.add_scaled(ONES_2X3, ONES_3X2, 2.0), ValueError,
-                 "add_scaled shape", id="add_scaled"),
     pytest.param(lambda: ad.sparse_matmul(ad.FixedSparse(np.eye(3)), ONES_2X3), ValueError,
                  "sparse_matmul shape", id="sparse_matmul"),
     pytest.param(lambda: _attention_2x3(3, 1, 3, 3), ValueError,
@@ -113,15 +117,31 @@ REJECTIONS = [
                  r"labels must lie in \[0, 3\)", id="nll_rows-label"),
     pytest.param(lambda: ad.nll_rows(ONES_2X3, [0], [0], 0.0), ValueError,
                  "floor must be positive", id="nll_rows-floor"),
+    pytest.param(lambda: ad.nll_rows(ONES_2X3, [0.9, 1.2], [1, 0], 1e-12), ValueError,
+                 "row indices must be integers", id="nll_rows-float-index"),
+    pytest.param(lambda: ad.nll_rows(ONES_2X3, [True, False], [1, 0], 1e-12), ValueError,
+                 "row indices must be integers", id="nll_rows-bool-index"),
+    pytest.param(lambda: ad.nll_rows(ONES_2X3, [0, 1], [1.7, 0], 1e-12), ValueError,
+                 "labels must be integers", id="nll_rows-float-label"),
     pytest.param(lambda: ad.group_mean_gap(ONES_2X3, [], [1]), ValueError,
                  "two nonempty groups", id="group_mean_gap-empty"),
     pytest.param(lambda: ad.group_mean_gap(ONES_2X3, [0], [-1]), ValueError,
                  r"high rows must lie in \[0, 2\)", id="group_mean_gap-index"),
+    pytest.param(lambda: ad.group_mean_gap(ONES_2X3, [0.5], [1.5]), ValueError,
+                 "low rows must be integers", id="group_mean_gap-float-index"),
     pytest.param(lambda: ad.weighted_sum([ONES_2X3, ONES_2X3], [1.0]), ValueError,
                  "got 1 coefficients for 2 terms", id="weighted_sum-count"),
     pytest.param(lambda: ad.weighted_sum([ONES_2X3, ONES_3X2], [1.0, 1.0]), ValueError,
                  "terms differ in shape", id="weighted_sum-shape"),
+    pytest.param(lambda: ad.weighted_sum([ONES_2X3, Tensor(np.ones((1, 2)))], [1.0, 1.0]),
+                 ValueError, "terms differ in shape", id="weighted_sum-bias-width"),
     pytest.param(_film_debias_with_bad_net, ValueError, "film_debias shape", id="film_debias-net"),
+    pytest.param(lambda: _film_debias_2_rows([0.5, 0], [0, 1]), ValueError,
+                 "route values must be integers", id="film_debias-float-route"),
+    pytest.param(lambda: _film_debias_2_rows([0, 2], [0, 1]), ValueError,
+                 r"route values must lie in \[-1, 1\)", id="film_debias-route"),
+    pytest.param(lambda: _film_debias_2_rows([0, 0], [0.0, 1.0]), ValueError,
+                 "degree_inverse values must be integers", id="film_debias-float-degree"),
     pytest.param(lambda: Tensor(np.ones((1, 1, 1))), ValueError, "ndim=3", id="tensor-ndim"),
     pytest.param(lambda: ONES_2X3.item(), ValueError, "1x1", id="item"),
     pytest.param(_backward_on_untracked_loss, TapeError, "not connected", id="backward-untracked"),
@@ -132,6 +152,15 @@ REJECTIONS = [
 def test_rejects_bad_arguments(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+def test_empty_index_lists_are_accepted():
+    # An empty list has numpy's default float dtype, but no entry to check.
+    assert ad.nll_rows(ONES_2X3, [], [], 1e-12).item() == 0.0
+    nets = [(Tensor(np.ones((3, 2))), Tensor(np.ones((1, 2))))]
+    out = ad.film_debias(Tensor(np.ones((0, 3))), [], nets, Tensor(np.zeros((1, 2))),
+                         Tensor(np.zeros((1, 2))), [])
+    assert out.shape == (0, 2)
 
 
 def test_nll_rows_propagates_nan():
@@ -404,6 +433,48 @@ def test_attention_matmul_subtracts_the_row_max():
     assert out.data.tolist() == [[1.0] * 3, [2.0] * 3]
 
 
+@st.composite
+def weighted_sum_cases(draw):
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    full, biases = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    # Term k reads tensor picks[k]: the first ``full`` tensors have the
+    # output's shape, the rest are bias rows. Picks may repeat.
+    picks = [draw(st.integers(0, full - 1))] + draw(
+        st.lists(st.integers(0, full + biases - 1), max_size=5))
+    coeffs = draw(st.lists(st.sampled_from([1.0, 1.0, -1.0, 0.5, 0.0, -2.75, 1e-3]),
+                           min_size=len(picks), max_size=len(picks)))
+    return rows, cols, full, biases, picks, coeffs, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(weighted_sum_cases())
+@example(case=(3, 2, 2, 1, [0, 0, 1], [1.0, 1.0, 1.0], 0))
+@example(case=(3, 2, 1, 2, [0, 1, 2, 1], [1.0, 1.0, -0.5, 2.0], 1))
+def test_weighted_sum_property_adjoint_matches_the_dot_product_identity(case):
+    # <J v, u> = <v, J^T u> for tangents v and a cotangent u. The op is
+    # linear in its terms, so J v is the op applied to the tangents.
+    rows, cols, full, biases, picks, coeffs, seed = case
+    rng = np.random.default_rng(seed)
+    shapes = [(rows, cols)] * full + [(1, cols)] * biases
+    leaves = [Tensor(rng.standard_normal(shape), requires_grad=True) for shape in shapes]
+    tangents = [rng.standard_normal(shape) for shape in shapes]
+    u = rng.standard_normal((rows, cols))
+    with Tape() as tape:
+        out = ad.weighted_sum([leaves[k] for k in picks], coeffs)
+        loss = contract(out, u)
+    expect = sum(c * leaves[k].data for k, c in zip(picks, coeffs))
+    assert np.array_equal(out.data, expect)  # the same sums, in the same order
+    tape.backward(loss)
+    grads = [t.grad if t.grad is not None else np.zeros(t.shape) for t in leaves]
+    jv = ad.weighted_sum([tangents[k] for k in picks], coeffs).data
+    lhs = np.einsum("ij,ij->", jv, u)
+    rhs = sum(np.einsum("ij,ij->", v, gr) for v, gr in zip(tangents, grads))
+    bound = sum(abs(c) * np.abs(tangents[k] * u).sum() for k, c in zip(picks, coeffs))
+    assert abs(lhs - rhs) <= 1e-12 * bound
+    held = [t.grad for t in leaves if t.grad is not None]
+    assert not any(np.shares_memory(x, y) for i, x in enumerate(held) for y in held[i + 1:])
+
+
 # ----------------------------------------------------------------- backward
 
 
@@ -443,7 +514,7 @@ def test_backward_three_layer_composite_matches_fd():
 def test_backward_rejects_non_scalar():
     w = Tensor(np.ones((2, 2)), requires_grad=True)
     with Tape() as tape:
-        out = ad.scalar_mul(w, 2.0)
+        out = ad.weighted_sum([w], [2.0])
     with pytest.raises(ValueError):
         tape.backward(out)
 
@@ -466,8 +537,8 @@ def test_backward_frees_the_tape_as_it_replays_it():
     captured = weakref.ref(scale)
     with Tape() as tape:
         outputs = [ad.matmul(x, w)]
-        outputs.append(ad.add(outputs[-1], v))
-        outputs.append(ad.add(outputs[-1], v))
+        outputs.append(ad.weighted_sum([outputs[-1], v], [1.0, 1.0]))
+        outputs.append(ad.weighted_sum([outputs[-1], v], [1.0, 1.0]))
         outputs.append(contract(outputs[-1], scale))  # only this op's vjp holds `scale`
     del scale
     recorded = len(tape)
@@ -487,21 +558,37 @@ def test_backward_frees_the_tape_as_it_replays_it():
 
 
 def test_backward_hands_an_identity_grad_to_one_parent_only():
-    # add's adjoint is the output's own grad for both parents: the first takes
-    # the buffer, the second gets a copy, so no two grads share memory.
+    # A coefficient-1 term's adjoint is the output's own grad: the first parent
+    # takes the buffer, the second gets a copy, so no two grads share memory.
     rng = np.random.default_rng(9)
     a, b, v = tensor(rng, 3, 2), tensor(rng, 3, 2), tensor(rng, 3, 2)
     cot = rng.standard_normal((3, 2))
     with Tape() as tape:
-        loss = contract(ad.add(a, b), cot)
+        loss = contract(ad.weighted_sum([a, b], [1.0, 1.0]), cot)
     tape.backward(loss)
     assert np.array_equal(a.grad, cot) and np.array_equal(b.grad, cot)
     assert not np.shares_memory(a.grad, b.grad)
     # The same parent twice: the second contribution adds into the taken buffer.
     with Tape() as tape:
-        loss = contract(ad.add(v, v), cot)
+        loss = contract(ad.weighted_sum([v, v], [1.0, 1.0]), cot)
     tape.backward(loss)
     assert np.array_equal(v.grad, 2.0 * cot)
+
+
+@pytest.mark.parametrize("order", ["aab", "aba", "baa", "aaabb"])
+def test_backward_keeps_a_handed_out_grad_intact(order):
+    # The first "a" takes the output's grad buffer. A repeated "a" must not
+    # add into that buffer while the entry's later terms still read it.
+    rng = np.random.default_rng(4)
+    leaves = {"a": tensor(rng, 3, 2), "b": tensor(rng, 3, 2)}
+    cot = rng.standard_normal((3, 2))
+    with Tape() as tape:
+        loss = contract(ad.weighted_sum([leaves[k] for k in order], [1.0] * len(order)), cot)
+    tape.backward(loss)
+    a, b = leaves["a"], leaves["b"]
+    assert np.array_equal(a.grad, order.count("a") * cot)
+    assert np.array_equal(b.grad, order.count("b") * cot)
+    assert not np.shares_memory(a.grad, b.grad)
 
 
 def test_backward_is_linear():
@@ -514,7 +601,7 @@ def test_backward_is_linear():
         with Tape() as tape:
             f = ad.sq_norm(ad.matmul(x, w))
             g = ad.sq_norm(w)
-            loss = ad.add(ad.scalar_mul(f, a), ad.scalar_mul(g, b))
+            loss = ad.weighted_sum([f, g], [a, b])
         tape.backward(loss)
         return w.grad.copy()
 
@@ -617,9 +704,6 @@ def op_programs(rng):
 
     return {
         "matmul": (lambda: contract(ad.matmul(a, b), cot_k), [a, b]),
-        "add": (lambda: contract(ad.add(a, c), cot), [a, c]),
-        "add_bias": (lambda: contract(ad.add(a, bias), cot), [a, bias]),
-        "scalar_mul": (lambda: contract(ad.scalar_mul(a, -1.7), cot), [a]),
         "relu": (lambda: contract(ad.relu(kinky), cot), [kinky]),
         "softmax_rows": (lambda: contract(ad.softmax_rows(a), cot), [a]),
         "sq_norm": (lambda: ad.sq_norm(a), [a]),
@@ -627,6 +711,13 @@ def op_programs(rng):
         "sq_norm_row_weights": (lambda: ad.sq_norm(a, c, row_weights=counts), [a, c]),
         "weighted_sum": (lambda: contract(ad.weighted_sum([a, c, a], [0.5, -1.3, 2.0]), cot),
                          [a, c]),
+        "weighted_sum_unit": (lambda: contract(ad.weighted_sum([a, a, c], [1.0] * 3), cot),
+                              [a, c]),
+        "weighted_sum_bias": (
+            lambda: contract(ad.weighted_sum([a, bias, c, bias], [1.0, 1.0, -0.7, 2.0]), cot),
+            [a, bias, c],
+        ),
+        "weighted_sum_one_term": (lambda: contract(ad.weighted_sum([a], [-1.7]), cot), [a]),
         "nll_rows": (lambda: ad.nll_rows(probs, idx, labels, 0.05), [probs]),
         "group_mean_gap": (lambda: ad.group_mean_gap(a, low, high), [a]),
         "attention_matmul": (
@@ -637,7 +728,6 @@ def op_programs(rng):
         "affine": (lambda: contract(ad.affine(a, b, Tensor(np.zeros((1, k)))
                                              if not bias_k.requires_grad else bias_k),
                                    cot_k), [a, b, bias_k]),
-        "add_scaled": (lambda: contract(ad.add_scaled(a, c, -0.7), cot), [a, c]),
         "film_debias": (
             lambda: contract(
                 ad.film_debias(routed_x, route, routed_nets, scale_u, shift_u, inv),

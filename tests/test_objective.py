@@ -457,7 +457,7 @@ def test_large_mu_drives_group_means_together():
     for _ in range(400):
         opt.zero_grad()
         with Tape() as tape:
-            loss = ad.scalar_mul(fairness_loss(h, low, high), 1000.0)
+            loss = ad.weighted_sum([fairness_loss(h, low, high)], [1000.0])
         tape.backward(loss)
         opt.step()
     assert fairness_loss(h, low, high).item() < 1e-6
@@ -490,3 +490,22 @@ def test_degfair_epoch_records_at_most_ten_objective_entries(monkeypatch):
     train(g, split, TrainConfig(base_gnn="gcn", hidden_dim=8, mu=1e-3, lam=1e-4, epochs=2))
     objective = [b - f for f, b in zip(forward_end, backward_start)]
     assert len(objective) == 2 and max(objective) <= 10, objective
+
+
+@pytest.mark.parametrize("kind,heads,limit", [("gcn", 1, 25), ("sage", 1, 26), ("gat", 2, 37)])
+def test_degfair_epoch_records_at_most_its_tape_entries(monkeypatch, kind, heads, limit):
+    # Each layer's pre-activation is one weighted_sum: the aggregation terms,
+    # the bias row and eps times the debiasing context.
+    recorded = []
+    backward = Tape.backward
+
+    def counted_backward(tape, loss):
+        recorded.append(len(tape))
+        return backward(tape, loss)
+
+    monkeypatch.setattr(Tape, "backward", counted_backward)
+    g = synth_generate(300, 2, 0.9, 8, seed=0)
+    split = split_nodes(g.num_nodes, (0.6, 0.2, 0.2), seed=0)
+    train(g, split, TrainConfig(base_gnn=kind, gat_heads=heads, hidden_dim=8, mu=1e-3,
+                                lam=1e-4, epochs=1))
+    assert len(recorded) == 1 and recorded[0] <= limit, recorded
