@@ -472,10 +472,14 @@ def attention_matmul(s_self: Tensor, s_nbr: Tensor, op: FixedSparse, x: Tensor) 
     Entry (i, j) scores ``s_self[i] + s_nbr[j]`` through GAT's leaky ReLU
     (slope 0.2 below 0), and each row of S is the softmax of its scores, row
     maximum subtracted first; the operator's values are not read. The adjoint of
-    ``x`` is ``S.T @ g`` (a CSC view, as in :func:`sparse_matmul`). The
-    score adjoint, ``p * (gp - rowsum(p * gp))`` times the slope, where
-    ``gp`` for entry (i, j) is ``g[i] . x[j]``, sums onto ``s_self`` by row
-    and onto ``s_nbr`` by column.
+    ``x`` is ``S.T @ g`` (a CSC view, as in :func:`sparse_matmul`).
+
+    The score adjoint of entry (i, j) is ``q_ij * (g[i] . x[j] - dot[i])``,
+    with ``q = p * slope`` on the pattern and ``dot[i] = g[i] . y[i]`` for
+    the output ``y``. Scores are additive, so its row and column sums are
+    two sparse products and no per-entry row is formed: with Q the CSR
+    matrix of ``q``, ``s_self`` gets ``rowdot(g, Q @ x) - dot * rowsum(Q)``
+    and ``s_nbr`` gets ``rowdot(x, Q.T @ g) - Q.T @ dot``.
     """
     s_self, s_nbr, x = as_tensor(s_self), as_tensor(s_nbr), as_tensor(x)
     pattern = op.fwd
@@ -494,20 +498,26 @@ def attention_matmul(s_self: Tensor, s_nbr: Tensor, op: FixedSparse, x: Tensor) 
     e = np.exp(v - row_max[rows])
     p = e / np.bincount(rows, weights=e, minlength=n)[rows]
     mat = _sparse.csr_matrix((p, cols, pattern.indptr), shape=pattern.shape)
-    shared: list[np.ndarray] = []  # the score adjoint, formed once for both halves
+    out = Tensor(mat @ x.data)
+    shared: list = []  # Q, rowsum(Q) and dot, formed once for both score halves
 
-    def scores_grad(g):
+    def score_terms(g):
         if not shared:
-            gp = np.einsum("ij,ij->i", g[rows], x.data[cols])
-            dot = np.bincount(rows, weights=gp * p, minlength=n)
-            shared.append(p * (gp - dot[rows]) * np.where(positive, 1.0, 0.2))
-        return shared[0]
+            q = p * np.where(positive, 1.0, 0.2)
+            shared.extend((_sparse.csr_matrix((q, cols, pattern.indptr), shape=pattern.shape),
+                           np.bincount(rows, weights=q, minlength=n),
+                           np.einsum("ij,ij->i", g, out.data)))
+        return shared
 
-    return _record(Tensor(mat @ x.data), [
-        (s_self, lambda g: np.bincount(rows, weights=scores_grad(g), minlength=n)[:, None]),
-        (s_nbr, lambda g: np.bincount(cols, weights=scores_grad(g), minlength=m)[:, None]),
-        (x, lambda g: mat.T @ g),
-    ])
+    def vjp_self(g):
+        q, q_rows, dot = score_terms(g)
+        return (np.einsum("ij,ij->i", g, q @ x.data) - dot * q_rows)[:, None]
+
+    def vjp_nbr(g):
+        q, _, dot = score_terms(g)
+        return (np.einsum("ij,ij->i", x.data, q.T @ g) - q.T @ dot)[:, None]
+
+    return _record(out, [(s_self, vjp_self), (s_nbr, vjp_nbr), (x, lambda g: mat.T @ g)])
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:

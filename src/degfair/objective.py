@@ -28,6 +28,7 @@ import numpy as np
 
 from degfair.autodiff import (
     Tensor,
+    _indices,
     film_debias,
     group_mean_gap,
     nll_rows,
@@ -68,7 +69,7 @@ def classification_loss(probs: Tensor, labels: np.ndarray, train_idx: np.ndarray
 
     Probabilities are clamped to >= 1e-12 before the log.
     """
-    train_idx = np.asarray(train_idx, dtype=np.int64)
+    train_idx = _indices(train_idx, probs.shape[0], "train_idx")
     if train_idx.size == 0:
         raise ValueError("classification loss needs a nonempty training set")
     return nll_rows(probs, train_idx, np.asarray(labels)[train_idx], PROB_FLOOR)
@@ -94,9 +95,10 @@ def debias_constraint(trace: ForwardTrace, low_tr: np.ndarray, high_tr: np.ndarr
     layer's trace, routed to the other group's net on the training rows of
     the two groups and to -1 everywhere else, so only those rows are built.
     """
-    opposite = np.full(trace.degree_inverse.shape[0], -1, dtype=np.int64)
-    opposite[np.asarray(low_tr, dtype=np.int64)] = 1
-    opposite[np.asarray(high_tr, dtype=np.int64)] = 0
+    n = trace.degree_inverse.shape[0]
+    opposite = np.full(n, -1, dtype=np.int64)
+    opposite[_indices(low_tr, n, "low_tr")] = 1
+    opposite[_indices(high_tr, n, "high_tr")] = 0
     return sq_norm(*[
         film_debias(entry.ctx, opposite, entry.debias, entry.scale_u, entry.shift_u,
                     trace.degree_inverse)
@@ -111,7 +113,7 @@ def film_constraint(trace: ForwardTrace, train_idx: np.ndarray) -> Tensor:
     the unique-degree rows, each weighted by its count of training nodes:
     sum_d count_train(d) * (|scale_u[d]|^2 + |shift_u[d]|^2).
     """
-    train_idx = np.asarray(train_idx, dtype=np.int64)
+    train_idx = _indices(train_idx, trace.degree_inverse.shape[0], "train_idx")
     unique = trace.layers[0].scale_u.shape[0]
     counts = np.bincount(trace.degree_inverse[train_idx], minlength=unique)
     rows = [t for entry in trace.layers for t in (entry.scale_u, entry.shift_u)]

@@ -304,8 +304,9 @@ def train(
     seed.
     """
     groups, ops, feats = _setup(g, config)
-    low_tr = np.intersect1d(groups.groups[0], split.train)
-    high_tr = np.intersect1d(groups.groups[1], split.train)
+    # The groups hold sorted, distinct node ids, so masking them gives
+    # np.intersect1d's result without the np.unique calls it makes.
+    low_tr, high_tr = (nodes[np.isin(nodes, split.train)] for nodes in groups.groups)
 
     rng = np.random.default_rng(config.seed)
     params = init_params(config, g.feature_dim, g.num_classes, rng)

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from degfair import autodiff as ad
 from degfair.autodiff import Tape, TapeError, Tensor
@@ -433,6 +435,87 @@ def test_attention_matmul_subtracts_the_row_max():
     assert out.data.tolist() == [[1.0] * 3, [2.0] * 3]
 
 
+def _random_pattern(rng, n, sizes):
+    """An n x n CSR pattern whose row i holds ``sizes[i]`` distinct columns."""
+    cols = [np.sort(rng.choice(n, size, replace=False)) for size in sizes]
+    indptr = np.concatenate([[0], np.cumsum(sizes)])
+    return ad.FixedSparse(sparse.csr_matrix(
+        (np.ones(indptr[-1]), np.concatenate(cols).astype(np.int32), indptr), shape=(n, n)))
+
+
+def _per_entry_score_adjoints(pattern, s_self, s_nbr, x, g):
+    """The score adjoints as first written: one nnz x d gather per side.
+
+    Entry (i, j) gets ``p * (gp - dot[i]) * slope`` with ``gp = g[i] . x[j]``
+    and ``dot[i]`` the p-weighted row sum of gp, summed by row and by column.
+    """
+    n, m = pattern.shape
+    rows, cols = np.repeat(np.arange(n), np.diff(pattern.indptr)), pattern.indices
+    logits = s_self[rows, 0] + s_nbr[cols, 0]
+    slope = np.where(logits > 0, 1.0, 0.2)
+    v = logits * slope
+    row_max = np.full(n, -np.inf)
+    np.maximum.at(row_max, rows, v)
+    e = np.exp(v - row_max[rows])
+    p = e / np.bincount(rows, weights=e, minlength=n)[rows]
+    gp = np.einsum("ij,ij->i", g[rows], x[cols])
+    dot = np.bincount(rows, weights=gp * p, minlength=n)
+    entry = p * (gp - dot[rows]) * slope
+    # Each entry's magnitude bound, |q| (|g[i]| . |x[j]|), gives the tolerances.
+    size = p * slope * np.einsum("ij,ij->i", np.abs(g[rows]), np.abs(x[cols]))
+    return (np.bincount(rows, weights=entry, minlength=n),
+            np.bincount(cols, weights=entry, minlength=m),
+            np.bincount(rows, weights=size, minlength=n),
+            np.bincount(cols, weights=size, minlength=m))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("width", [1, 2, 64])
+def test_attention_matmul_score_adjoints_match_the_per_entry_formula(width, seed):
+    rng = np.random.default_rng(seed)
+    n = 300
+    # Empty rows, one-entry rows and rows of up to 40 entries.
+    sizes = rng.choice([0, 1, 2, 5, 12, 40], n)
+    op = _random_pattern(rng, n, sizes)
+    # A third of the rows score every entry above 0, or every entry below
+    # it: their softmax does not move with s_self[i], whose exact adjoint is 0.
+    s_nbr = rng.standard_normal((n, 1))
+    one_sign = rng.choice([-10.0, 0.0, 10.0], (n, 1))
+    s_self = np.where(one_sign == 0.0, rng.standard_normal((n, 1)), one_sign)
+    x, g = rng.standard_normal((n, width)), rng.standard_normal((n, width))
+    want_self, want_nbr, size_self, size_nbr = _per_entry_score_adjoints(
+        op.fwd, s_self, s_nbr, x, g)
+    t_self, t_nbr = Tensor(s_self, requires_grad=True), Tensor(s_nbr, requires_grad=True)
+    with Tape() as tape:
+        loss = contract(ad.attention_matmul(t_self, t_nbr, op, Tensor(x)), g)
+    tape.backward(loss)
+    assert np.all(np.abs(t_self.grad[:, 0] - want_self) <= 1e-12 * size_self)
+    assert np.all(np.abs(t_nbr.grad[:, 0] - want_nbr) <= 1e-12 * size_nbr)
+    flat = (one_sign[:, 0] != 0.0) | (sizes <= 1)
+    assert np.all(np.abs(t_self.grad[flat, 0]) <= 1e-12 * size_self[flat])
+    assert np.all(t_self.grad[sizes == 0] == 0.0)
+
+
+def test_attention_matmul_backward_forms_no_entry_by_width_array():
+    # About 21 entries per row at n=2000 and width 64: one nnz x d float64
+    # array is 21.5 MB, and the score adjoints once gathered two of them.
+    rng = np.random.default_rng(3)
+    n, width = 2000, 64
+    op = _random_pattern(rng, n, np.full(n, 21))
+    s_self, s_nbr = tensor(rng, n, 1), tensor(rng, n, 1)
+    x, cot = tensor(rng, n, width), rng.standard_normal((n, width))
+    with Tape() as tape:
+        loss = contract(ad.attention_matmul(s_self, s_nbr, op, x), cot)
+    tracemalloc.start()
+    try:
+        tape.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < op.fwd.nnz * width * 8
+    assert all(t.grad is not None for t in (s_self, s_nbr, x))
+
+
 @st.composite
 def weighted_sum_cases(draw):
     rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 4))
@@ -656,15 +739,11 @@ def test_no_grad_restores_the_stack_and_allows_an_inner_tape():
 
 
 def _random_csr(rng, rows, cols):
-    from scipy import sparse
-
     mat = sparse.random(rows, cols, density=0.4, random_state=np.random.RandomState(7))
     return ad.FixedSparse(mat)
 
 
 def _pattern_operator(mask):
-    from scipy import sparse
-
     return ad.FixedSparse(sparse.csr_matrix(mask.astype(np.float64)))
 
 

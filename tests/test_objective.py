@@ -115,6 +115,41 @@ def test_classification_empty_train_is_error():
                             np.array([], dtype=int))
 
 
+def _index_calls():
+    probs, labels = Tensor(np.full((3, 2), 0.5)), np.array([0, 1, 0])
+    trace = make_trace([entry(n=3)])
+    return {
+        "classification": lambda idx: classification_loss(probs, labels, idx),
+        "debias-low": lambda idx: debias_constraint(trace, idx, [2]),
+        "debias-high": lambda idx: debias_constraint(trace, [2], idx),
+        "film": lambda idx: film_constraint(trace, idx),
+    }
+
+
+@pytest.mark.parametrize("call, name", [
+    ("classification", "train_idx"), ("debias-low", "low_tr"),
+    ("debias-high", "high_tr"), ("film", "train_idx"),
+])
+@pytest.mark.parametrize("idx, problem", [
+    ([0.9, 1.2], "be integers"), (np.array([0.0, 1.0]), "be integers"),
+    ([True, False], "be integers"), ([-1], r"lie in \[0, 3\)"), ([3], r"lie in \[0, 3\)"),
+], ids=["float-list", "integral-floats", "bool", "negative", "too-large"])
+def test_bad_index_arrays_are_rejected(call, name, idx, problem):
+    # Cast first, [0.9, 1.2] read as [0, 1], [True, False] as [1, 0] and
+    # -1 as the last row.
+    with pytest.raises(ValueError, match=f"{name} must {problem}"):
+        _index_calls()[call](idx)
+
+
+def test_empty_index_lists_are_accepted():
+    calls = _index_calls()
+    assert calls["debias-low"]([]).item() == 0.0
+    assert calls["debias-high"]([]).item() == 0.0
+    assert calls["film"]([]).item() == 0.0
+    with pytest.raises(ValueError, match="nonempty training set"):
+        calls["classification"]([])
+
+
 # ------------------------------------------------------------- fairness loss
 
 

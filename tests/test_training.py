@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import warnings
@@ -8,7 +9,14 @@ import pytest
 
 from degfair import training
 from degfair.cli import main
-from degfair.graphs import generalized_degree, save_graph_files, split_nodes, synth_generate
+from degfair.graphs import (
+    generalized_degree,
+    mean_degree,
+    partition_contrast,
+    save_graph_files,
+    split_nodes,
+    synth_generate,
+)
 from degfair.layers import base_forward, model_forward
 from degfair.training import (
     ModelFileError,
@@ -173,6 +181,24 @@ def test_kept_layer0_context_trains_bit_identically(monkeypatch, dropout_input):
     assert kept.val_acc == fresh.val_acc
     for ta, tb in zip(kept_params.all_tensors(), fresh_params.all_tensors()):
         assert np.array_equal(ta.data, tb.data)
+
+
+def test_group_terms_read_each_groups_training_nodes(monkeypatch):
+    # The parity and cross-context terms get each contrast group's training
+    # nodes in sorted order, also from a split listed in descending order.
+    g, split = small_setup(seed=3, n=60)
+    split = dataclasses.replace(split, train=np.sort(split.train)[::-1])
+    groups = partition_contrast(g.degrees.astype(np.float64), mean_degree(g))
+    seen = []
+    fairness = training.fairness_loss
+    monkeypatch.setattr(training, "fairness_loss",
+                        lambda h, low, high: seen.append((low, high)) or fairness(h, low, high))
+    train(g, split, quick_config(epochs=2, patience=2, seed=3))
+    assert len(seen) == 2
+    for low, high in seen:
+        for got, nodes in zip((low, high), groups.groups):
+            want = np.intersect1d(nodes, split.train)
+            assert want.size and got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_zero_coefficient_terms_are_reported_but_not_weighted():
