@@ -6,8 +6,12 @@ backward pass replays the record in exact reverse, accumulating adjoints
 into ``.grad`` buffers. It frees each entry once replayed: the entry's
 vjp closures, with every array they captured, and its output's ``.grad``
 go, so after backward only the leaves (tensors created with
-``requires_grad=True``) hold a ``.grad``. Outside a tape, or inside
-:func:`no_grad`, ops are plain forward evaluation.
+``requires_grad=True``) hold a ``.grad``. Every vjp of an entry runs
+before any of its contributions is summed: a vjp returns ``g`` or a fresh
+array, a second parent handed ``g`` gets a copy, and each parent then
+takes its contribution or adds it in place, so no two tensors share a
+grad buffer. Outside a tape, or inside :func:`no_grad`, ops are plain
+forward evaluation.
 """
 
 from __future__ import annotations
@@ -134,14 +138,8 @@ class Tape:
             raise TapeError("loss is not connected to any tracked tensor")
         self._used = True
         loss.grad = np.ones((1, 1))
-        # ``owned`` holds the ids of the buffers that are some tensor's grad.
-        # A recorded output is never a leaf, so its grad is released before
-        # its vjps run: the first parent an identity vjp hands it to takes the
-        # buffer, and any later one copies it. A vjp returns ``g`` itself or a
-        # fresh array, never a view, so no two tensors then share a grad and
-        # later contributions add in place, except into ``g`` while this
-        # entry's vjps still read it: that sum goes to a fresh buffer.
-        owned: set[int] = set()
+        # A vjp returns ``g`` or a fresh array; all reads of ``g`` end before
+        # any in-place sum; ``g`` is held by at most one tensor.
         entries = self._entries
         while entries:
             out, pairs = entries.pop()
@@ -150,18 +148,13 @@ class Tape:
             if g is None:
                 continue
             out.grad = None
-            owned.discard(id(g))
-            for parent, vjp in pairs:
-                contrib = vjp(g)
+            contribs = [vjp(g) for _, vjp in pairs]
+            shared = [k for k, c in enumerate(contribs) if c is g]
+            for k in shared[1:]:
+                contribs[k] = g.copy()
+            for (parent, _), contrib in zip(pairs, contribs):
                 if parent.grad is None:
-                    if id(contrib) in owned:
-                        contrib = contrib.copy()
                     parent.grad = contrib
-                    owned.add(id(contrib))
-                elif parent.grad is g:
-                    owned.discard(id(g))
-                    parent.grad = g + contrib
-                    owned.add(id(parent.grad))
                 else:
                     np.add(parent.grad, contrib, out=parent.grad)
 
@@ -234,19 +227,16 @@ def sq_norm(*tensors: Tensor, row_weights=None) -> Tensor:
     weight each row by how many times it stands in for a larger set of rows.
     """
     tensors = [as_tensor(t) for t in tensors]
-    total = 0.0
-    if row_weights is None:
-        for t in tensors:
-            total += np.einsum("ij,ij->", t.data, t.data)
-        return _record(Tensor(total), [(t, lambda g, t=t: 2.0 * g[0, 0] * t.data) for t in tensors])
-    weights = np.asarray(row_weights, dtype=np.float64).reshape(-1)
-    col = weights[:, None]
+    col = None if row_weights is None else np.asarray(row_weights, dtype=np.float64).reshape(-1, 1)
+    total, weighted = 0.0, []
     for t in tensors:
-        if t.shape[0] != weights.shape[0]:
-            raise ValueError(f"{weights.shape[0]} row weights for {t.shape[0]} rows")
-        total += np.einsum("ij,ij,i->", t.data, t.data, weights)
+        if col is not None and t.shape[0] != col.shape[0]:
+            raise ValueError(f"{col.shape[0]} row weights for {t.shape[0]} rows")
+        w = t.data if col is None else col * t.data
+        total += np.einsum("ij,ij->", t.data, w)
+        weighted.append(w)
     return _record(Tensor(total),
-                   [(t, lambda g, t=t: (2.0 * g[0, 0]) * (col * t.data)) for t in tensors])
+                   [(t, lambda g, w=w: (2.0 * g[0, 0]) * w) for t, w in zip(tensors, weighted)])
 
 
 def weighted_sum(terms, coeffs) -> Tensor:

@@ -308,8 +308,11 @@ def cmd_audit(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    g = synth_generate(args.nodes, args.attach, args.label_bias, args.feat_dim,
-                       seed=args.seed)
+    try:
+        g = synth_generate(args.nodes, args.attach, args.label_bias, args.feat_dim,
+                           seed=args.seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     os.makedirs(args.out, exist_ok=True)
     save_graph_files(
         g,

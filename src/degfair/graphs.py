@@ -13,6 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
+from degfair.autodiff import _indices
+
 __all__ = [
     "Graph",
     "GroupAssignment",
@@ -90,7 +92,6 @@ class NodeSplit:
     train: np.ndarray
     val: np.ndarray
     test: np.ndarray
-    seed: int
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -361,21 +362,20 @@ def mean_degree(g: Graph) -> float:
 def _as_universe(node_universe, degrees: np.ndarray) -> np.ndarray:
     if node_universe is None:
         return np.arange(degrees.shape[0], dtype=np.int64)
-    return np.asarray(sorted(node_universe), dtype=np.int64)
+    universe = _indices(sorted(node_universe), degrees.shape[0], "node_universe")
+    if np.any(universe[1:] == universe[:-1]):
+        raise ValueError("node_universe lists a node more than once")
+    return universe
 
 
-def partition_contrast(
-    degrees: np.ndarray, threshold: float, node_universe=None
-) -> GroupAssignment:
-    """Split a node universe into low-degree (deg <= K) and high-degree rest.
+def partition_contrast(degrees: np.ndarray, threshold: float) -> GroupAssignment:
+    """Split the nodes into low-degree (deg <= K) and high-degree rest.
 
     The threshold is inclusive: a node exactly at K lands in the low group.
     """
-    degrees = np.asarray(degrees, dtype=np.float64)
-    universe = _as_universe(node_universe, degrees)
-    low_mask = degrees[universe] <= threshold
-    s0 = universe[low_mask]
-    s1 = universe[~low_mask]
+    low_mask = np.asarray(degrees, dtype=np.float64) <= threshold
+    s0 = np.flatnonzero(low_mask)
+    s1 = np.flatnonzero(~low_mask)
     if s0.size == 0 or s1.size == 0:
         warnings.warn(
             f"degree threshold {threshold} leaves one contrast group empty "
@@ -391,7 +391,8 @@ def partition_top_bottom(
     """Bottom-p% (group 0) and top-p% (group 1) of a universe by degree.
 
     Each group has exactly floor(p * |universe|) nodes. Ordering is by
-    (degree, node id), so ties are broken deterministically by id.
+    (degree, node id), so ties are broken deterministically by id. The
+    universe lists distinct integer node ids in range, or raises.
     """
     if not 0.0 < fraction <= 0.5:
         raise ValueError(f"fraction must be in (0, 0.5], got {fraction}")
@@ -428,7 +429,6 @@ def split_nodes(
         train=np.sort(perm[:n_train]),
         val=np.sort(perm[n_train : n_train + n_val]),
         test=np.sort(perm[n_train + n_val :]),
-        seed=seed,
     )
 
 
@@ -453,6 +453,8 @@ def synth_generate(
         raise ValueError(f"label_bias must be in [0, 1], got {label_bias}")
     if feat_dim < 1:
         raise ValueError(f"feat_dim must be >= 1, got {feat_dim}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
     rng = np.random.default_rng(seed)
     m0 = attach + 1

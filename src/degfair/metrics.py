@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from degfair.autodiff import _indices
 from degfair.graphs import GraphDataError, partition_top_bottom
 
 __all__ = [
@@ -58,11 +59,11 @@ class RunAggregate:
 
 def accuracy(preds: np.ndarray, labels: np.ndarray, idx: np.ndarray) -> float:
     """Fraction of nodes in ``idx`` predicted correctly."""
-    idx = np.asarray(idx, dtype=np.int64)
-    if idx.size == 0:
-        raise ValueError("accuracy over an empty index set is undefined")
     preds = np.asarray(preds)
     labels = np.asarray(labels)
+    idx = _indices(idx, preds.shape[0], "idx")
+    if idx.size == 0:
+        raise ValueError("accuracy over an empty index set is undefined")
     return float(np.mean(preds[idx] == labels[idx]))
 
 
@@ -76,8 +77,7 @@ def delta_dsp(
 ) -> float:
     """Mean absolute gap between the groups' prediction distributions."""
     preds = np.asarray(preds)
-    g0 = np.asarray(g0, dtype=np.int64)
-    g1 = np.asarray(g1, dtype=np.int64)
+    g0, g1 = _indices(g0, preds.shape[0], "g0"), _indices(g1, preds.shape[0], "g1")
     if g0.size == 0 or g1.size == 0:
         raise ValueError("both degree groups must be nonempty")
     p0 = _class_frequencies(preds, g0, num_classes)
@@ -111,8 +111,7 @@ def delta_deo(
     """
     preds = np.asarray(preds)
     labels = np.asarray(labels)
-    g0 = np.asarray(g0, dtype=np.int64)
-    g1 = np.asarray(g1, dtype=np.int64)
+    g0, g1 = _indices(g0, preds.shape[0], "g0"), _indices(g1, preds.shape[0], "g1")
     if g0.size == 0 or g1.size == 0:
         raise ValueError("both degree groups must be nonempty")
     r0 = _recall_conditionals(preds, labels, g0, num_classes)
@@ -140,7 +139,7 @@ def build_report(
     """
     preds = np.asarray(preds)
     labels = np.asarray(labels)
-    test_idx = np.asarray(test_idx, dtype=np.int64)
+    test_idx = _indices(test_idx, preds.shape[0], "test_idx")
     if num_classes is None:
         num_classes = int(labels.max()) + 1
     groups = partition_top_bottom(degrees_r, fraction, node_universe=test_idx)

@@ -59,8 +59,6 @@ class LossBreakdown:
     l3: float
     l4: float
     omega_reg: float
-    mu: float
-    lam: float
     total: float
 
 
@@ -145,8 +143,6 @@ def total_loss(
         l3=l3.item(),
         l4=l4.item(),
         omega_reg=omega_reg.item(),
-        mu=mu,
-        lam=lam,
         total=total.item(),
     )
     return total, breakdown

@@ -14,22 +14,17 @@ class Adam:
 
     Moment buffers live in the optimizer; ``step()`` requires every
     parameter to carry a gradient buffer (call ``zero_grad()`` before the
-    backward pass so untouched parameters read as zero gradient).
+    backward pass so untouched parameters read as zero gradient). Only the
+    learning rate is settable.
     """
 
-    def __init__(
-        self,
-        params: list[Tensor],
-        lr: float = 0.01,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, params: list[Tensor], lr: float = 0.01):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]

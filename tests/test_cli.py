@@ -96,6 +96,23 @@ def test_synth_round_trips(tmp_path):
     assert g.num_edges == 3 + 2 * 77
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--attach", "0"], "attach must be >= 1, got 0"),
+    (["--nodes", "2", "--attach", "2"], "need n >= attach + 1, got n=2, attach=2"),
+    (["--nodes", "0"], "need n >= attach + 1, got n=0, attach=2"),
+    (["--label-bias", "2"], "label_bias must be in [0, 1], got 2.0"),
+    (["--feat-dim", "0"], "feat_dim must be >= 1, got 0"),
+    (["--seed", "-1"], "seed must be >= 0, got -1"),
+], ids=["attach-zero", "nodes-not-above-attach", "nodes-zero", "label-bias", "feat-dim",
+        "seed-negative"])
+def test_synth_bad_flag_exits_2(tmp_path, capsys, flags, message):
+    out = tmp_path / "data"
+    assert main(["synth", *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 # ------------------------------------------------------------- degree stats
 
 

@@ -71,6 +71,23 @@ def test_build_rejects_out_of_range_edge():
         make_graph([(0, 5)], 3)
 
 
+GRAPH_REJECTIONS = [
+    pytest.param(lambda: build_graph(np.empty((0, 2), dtype=np.int64), np.zeros(3),
+                                     np.zeros(3, dtype=np.int64)),
+                 GraphDataError, "feature matrix must be 2-D", id="build-1d-features"),
+    pytest.param(lambda: local_contexts(make_graph(TRIANGLE, 3), 0), ValueError,
+                 "radius must be >= 1, got 0", id="local-contexts-r-zero"),
+    pytest.param(lambda: mean_degree(make_graph([], 0)), ValueError,
+                 "mean degree of an empty graph", id="mean-degree-empty"),
+]
+
+
+@pytest.mark.parametrize("call,error,message", GRAPH_REJECTIONS)
+def test_rejects_bad_arguments(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_build_rejects_bad_labels():
     feats = np.zeros((2, 1))
     with pytest.raises(GraphDataError):
@@ -467,11 +484,11 @@ def test_top_bottom_restricted_universe():
 
 
 @st.composite
-def degree_universes(draw, min_size=0):
-    """Integer-valued degrees plus a node universe (None = every node)."""
-    n = draw(st.integers(min_value=max(min_size, 1), max_value=30))
+def degree_universes(draw):
+    """Integer-valued degrees plus a universe of >= 2 nodes (None = every node)."""
+    n = draw(st.integers(min_value=2, max_value=30))
     degrees = np.array(draw(st.lists(st.integers(0, 8), min_size=n, max_size=n)), dtype=float)
-    universe = draw(st.none() | st.sets(st.integers(0, n - 1), min_size=min_size))
+    universe = draw(st.none() | st.sets(st.integers(0, n - 1), min_size=2))
     return degrees, universe
 
 
@@ -480,14 +497,14 @@ def universe_ids(degrees, universe):
 
 
 @settings(max_examples=100, deadline=None)
-@given(data=degree_universes(), threshold=st.integers(-1, 9) | st.floats(-1.0, 9.0))
-@example(data=(np.array([2.0, 3.0, 3.0, 4.0]), None), threshold=3)
-def test_contrast_property_disjoint_covering_inclusive(data, threshold):
-    degrees, universe = data
-    ids = universe_ids(degrees, universe)
+@given(degrees=st.lists(st.integers(0, 8), min_size=1, max_size=30).map(np.array),
+       threshold=st.integers(-1, 9) | st.floats(-1.0, 9.0))
+@example(degrees=np.array([2.0, 3.0, 3.0, 4.0]), threshold=3)
+def test_contrast_property_disjoint_covering_inclusive(degrees, threshold):
+    ids = list(range(degrees.size))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # one group may be empty
-        low, high = partition_contrast(degrees, threshold, node_universe=universe).groups
+        low, high = partition_contrast(degrees, threshold).groups
     assert low.tolist() == [v for v in ids if degrees[v] <= threshold]
     assert high.tolist() == [v for v in ids if degrees[v] > threshold]
     assert not set(low.tolist()) & set(high.tolist())
@@ -495,7 +512,7 @@ def test_contrast_property_disjoint_covering_inclusive(data, threshold):
 
 
 @settings(max_examples=100, deadline=None)
-@given(data=degree_universes(min_size=2),
+@given(data=degree_universes(),
        fraction=st.floats(min_value=0.01, max_value=0.5))
 @example(data=(np.full(6, 3.0), None), fraction=0.5)
 def test_top_bottom_property_sizes_disjoint_ties_by_id(data, fraction):

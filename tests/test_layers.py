@@ -75,6 +75,29 @@ def test_encoding_deterministic_and_bounded():
     assert np.all(np.abs(a) <= 1.0)
 
 
+def _operators_of_kind(kind):
+    g = synth_generate(10, 2, 0.9, 3, seed=0)
+    return build_operators(g, 1, partition_contrast(g.degrees.astype(float), 2.0), kind)
+
+
+LAYER_REJECTIONS = [
+    pytest.param(lambda: degree_encoding_matrix(np.array([1.0, -1.0]), 4),
+                 "degrees must be non-negative", id="encoding-negative-degree"),
+    pytest.param(lambda: _operators_of_kind("gin"), "unknown aggregator kind 'gin'",
+                 id="operators-kind"),
+    pytest.param(lambda: input_features(synth_generate(10, 2, 0.9, 3, seed=0), "l1"),
+                 'feature_norm must be "none" or "l2", got \'l1\'', id="input-features-norm"),
+    pytest.param(lambda: layers._activate(Tensor(np.ones((2, 2))), "tanh"),
+                 "unknown activation 'tanh'", id="activation"),
+]
+
+
+@pytest.mark.parametrize("call,message", LAYER_REJECTIONS)
+def test_rejects_bad_arguments(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_encoding_rejects_odd_width():
     with pytest.raises(ValueError):
         degree_encoding(3, 5)

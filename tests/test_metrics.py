@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from degfair.graphs import partition_top_bottom
 from degfair.metrics import (
     accuracy,
     aggregate_runs,
@@ -204,6 +205,52 @@ def test_report_per_class_frequencies_sum_to_one():
                        num_classes=3)
     assert rep.per_class[:, 0].sum() == pytest.approx(1.0, abs=1e-12)
     assert rep.per_class[:, 1].sum() == pytest.approx(1.0, abs=1e-12)
+
+
+# ------------------------------------------------------- node id arguments
+
+PREDS6 = np.array([0, 1, 0, 1, 0, 1])
+LABELS6 = np.array([0, 1, 1, 1, 0, 0])
+DEGREES6 = np.arange(1.0, 7.0)
+
+BAD_NODE_IDS = [
+    pytest.param(lambda: accuracy(PREDS6, LABELS6, [-1, 0]), r"^idx must lie in \[0, 6\)",
+                 id="accuracy-negative"),
+    pytest.param(lambda: accuracy(PREDS6, LABELS6, [6]), r"^idx must lie in \[0, 6\)",
+                 id="accuracy-past-end"),
+    pytest.param(lambda: accuracy(PREDS6, LABELS6, [0.9, 1.2]), "^idx must be integers",
+                 id="accuracy-float"),
+    pytest.param(lambda: accuracy(PREDS6, LABELS6, [True, False]), "^idx must be integers",
+                 id="accuracy-bool"),
+    pytest.param(lambda: delta_dsp(PREDS6, [0.9, 1.5], [2.2, 3.7], 2), "^g0 must be integers",
+                 id="dsp-float"),
+    pytest.param(lambda: delta_dsp(PREDS6, [0, 1], [2, -1], 2), r"^g1 must lie in \[0, 6\)",
+                 id="dsp-negative"),
+    pytest.param(lambda: delta_deo(PREDS6, LABELS6, [0, 9], [2, 3], 2),
+                 r"^g0 must lie in \[0, 6\)", id="deo-past-end"),
+    pytest.param(lambda: delta_deo(PREDS6, LABELS6, [0, 1], [2.0, 3.0], 2),
+                 "^g1 must be integers", id="deo-float"),
+    pytest.param(lambda: delta_deo(PREDS6, LABELS6, [0, 1], [], 2),
+                 "^both degree groups must be nonempty", id="deo-empty-group"),
+    pytest.param(lambda: build_report(PREDS6, LABELS6, [-1, 0, 1, 2], DEGREES6, 0.5),
+                 r"^test_idx must lie in \[0, 6\)", id="report-negative"),
+    pytest.param(lambda: build_report(PREDS6, LABELS6, [0.0, 1.0, 2.0], DEGREES6, 0.5),
+                 "^test_idx must be integers", id="report-float"),
+    pytest.param(lambda: partition_top_bottom(DEGREES6, 0.5, node_universe=[0, 0, 1, 2]),
+                 "^node_universe lists a node more than once", id="top-bottom-duplicate"),
+    pytest.param(lambda: partition_top_bottom(DEGREES6, 0.5, node_universe=[-1, 0, 1, 2]),
+                 r"^node_universe must lie in \[0, 6\)", id="top-bottom-negative"),
+    pytest.param(lambda: partition_top_bottom(DEGREES6, 0.5, node_universe=[0.5, 1.5]),
+                 "^node_universe must be integers", id="top-bottom-float"),
+]
+
+
+@pytest.mark.parametrize("call,message", BAD_NODE_IDS)
+def test_bad_node_ids_are_rejected(call, message):
+    # Cast first, -1 read the last node, 0.9 node 0, and a duplicate
+    # universe entry counted one node twice.
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 # ------------------------------------------------------------------ aggregate

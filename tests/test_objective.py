@@ -26,6 +26,7 @@ from degfair.objective import (
 )
 from degfair.optim import Adam
 from degfair.training import TrainConfig, init_params, train
+from test_acceptance import full_loss_program
 
 
 def scalar(x):
@@ -544,3 +545,37 @@ def test_degfair_epoch_records_at_most_its_tape_entries(monkeypatch, kind, heads
     train(g, split, TrainConfig(base_gnn=kind, gat_heads=heads, hidden_dim=8, mu=1e-3,
                                 lam=1e-4, epochs=1))
     assert len(recorded) == 1 and recorded[0] <= limit, recorded
+
+
+@pytest.mark.parametrize("kind", ["gcn", "sage", "gat"])
+def test_full_objective_backward_never_shares_a_grad_buffer(kind):
+    # Criterion 2's full objective (GAT with 2 heads), taped once. Before each
+    # vjp runs (that is, after the previous entry's sums), no two tensors on
+    # the tape hold grads that share memory; at the end every trainable leaf
+    # has its own grad. SAGE's pre-activation has two coefficient-1 terms, so
+    # one entry hands ``g`` to two parents and the second must get a copy.
+    program, leaves = full_loss_program(kind)
+    with Tape() as tape:
+        loss = program()
+    tensors = list({id(t): t for out, pairs in tape._entries
+                    for t in [out] + [p for p, _ in pairs]}.values())
+
+    def shared_pairs():
+        grads = [t.grad for t in tensors if t.grad is not None]
+        return sum(np.shares_memory(a, b) for i, a in enumerate(grads) for b in grads[:i])
+
+    checked = []
+
+    def checking(vjp):
+        def run(grad):
+            checked.append(shared_pairs())
+            return vjp(grad)
+        return run
+
+    for _, pairs in tape._entries:
+        pairs[:] = [(p, checking(vjp)) for p, vjp in pairs]
+    tape.backward(loss)
+    assert checked and not any(checked)
+    assert all(t.grad is not None for t in leaves)
+    assert not any(np.shares_memory(a.grad, b.grad) for i, a in enumerate(leaves)
+                   for b in leaves[:i])

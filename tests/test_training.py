@@ -65,7 +65,7 @@ def test_config_validation():
     ("threshold", float("nan")), ("threshold", -float("inf")), ("threshold", False),
     ("dropout_input", "no"), ("dropout_input", 1),
     ("lr", "0.01"), ("lr", True), ("lr", None), ("lr", float("nan")), ("lr", -1e-3),
-    ("lr", -float("inf")),
+    ("lr", -float("inf")), ("model", "mlp"), ("dropout", 1.0), ("dropout", -0.1),
 ])
 def test_config_rejects_values_of_the_wrong_type(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be"):
