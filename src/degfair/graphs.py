@@ -362,7 +362,9 @@ def mean_degree(g: Graph) -> float:
 def _as_universe(node_universe, degrees: np.ndarray) -> np.ndarray:
     if node_universe is None:
         return np.arange(degrees.shape[0], dtype=np.int64)
-    universe = _indices(sorted(node_universe), degrees.shape[0], "node_universe")
+    if not isinstance(node_universe, np.ndarray):
+        node_universe = list(node_universe)  # np.asarray of a set or generator is one object
+    universe = np.sort(_indices(node_universe, degrees.shape[0], "node_universe"))
     if np.any(universe[1:] == universe[:-1]):
         raise ValueError("node_universe lists a node more than once")
     return universe

@@ -15,7 +15,7 @@ opposite context on training nodes from the layer's trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -237,7 +237,7 @@ class GraphOperators:
     and the aggregation operator ``agg`` (GCN: D^-1/2 (A+I) D^-1/2; SAGE:
     the one-hop neighbor mean; GAT: the A+I pattern, whose values the
     attention coefficients replace), plus each node's debiasing group id
-    (0 low, 1 high) and cached degree encodings per unique degree value.
+    (0 low, 1 high) and its index into the unique degree values.
     """
 
     kind: str
@@ -246,15 +246,6 @@ class GraphOperators:
     group: np.ndarray
     unique_degrees: np.ndarray
     degree_inverse: np.ndarray
-    _encodings: dict = field(default_factory=dict)
-
-    def encoding(self, width: int) -> Tensor:
-        """Constant encoding rows for the unique degree values."""
-        if width not in self._encodings:
-            self._encodings[width] = Tensor(
-                degree_encoding_matrix(self.unique_degrees, width)
-            )
-        return self._encodings[width]
 
 
 def build_operators(
@@ -391,7 +382,7 @@ def fair_layer_forward(
     """
     if ctx is None:
         ctx = sparse_matmul(ops.ctx_mean, h_prev)
-    enc = ops.encoding(layer.film_scale.w.shape[0])
+    enc = Tensor(degree_encoding_matrix(ops.unique_degrees, layer.film_scale.w.shape[0]))
     scale_u, shift_u = layer.film_scale(enc), layer.film_shift(enc)
     debias = (layer.debias_low, layer.debias_high)
 

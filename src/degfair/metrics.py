@@ -57,10 +57,17 @@ class RunAggregate:
     delta_deo_std: float
 
 
+def _labels_like(labels, preds: np.ndarray) -> np.ndarray:
+    labels = np.asarray(labels)
+    if labels.shape != preds.shape[:1]:
+        raise ValueError(f"labels has {labels.size} entries, preds has {preds.shape[0]}")
+    return labels
+
+
 def accuracy(preds: np.ndarray, labels: np.ndarray, idx: np.ndarray) -> float:
     """Fraction of nodes in ``idx`` predicted correctly."""
     preds = np.asarray(preds)
-    labels = np.asarray(labels)
+    labels = _labels_like(labels, preds)
     idx = _indices(idx, preds.shape[0], "idx")
     if idx.size == 0:
         raise ValueError("accuracy over an empty index set is undefined")
@@ -110,7 +117,7 @@ def delta_deo(
     conditional there and is skipped; the mean runs over evaluated classes.
     """
     preds = np.asarray(preds)
-    labels = np.asarray(labels)
+    labels = _labels_like(labels, preds)
     g0, g1 = _indices(g0, preds.shape[0], "g0"), _indices(g1, preds.shape[0], "g1")
     if g0.size == 0 or g1.size == 0:
         raise ValueError("both degree groups must be nonempty")
@@ -138,7 +145,7 @@ def build_report(
     groups.
     """
     preds = np.asarray(preds)
-    labels = np.asarray(labels)
+    labels = _labels_like(labels, preds)
     test_idx = _indices(test_idx, preds.shape[0], "test_idx")
     if num_classes is None:
         num_classes = int(labels.max()) + 1

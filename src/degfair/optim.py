@@ -8,13 +8,20 @@ from degfair.autodiff import Tensor
 
 __all__ = ["Adam"]
 
+# Floats per block of the update: a block of all five state vectors (1.3 MB)
+# stays in a core's L2 cache across the elementwise ops.
+_BLOCK = 32768
+
 
 class Adam:
-    """Standard Adam over a fixed list of parameter tensors.
+    """Standard Adam over a fixed list of parameter tensors, held in one flat vector.
 
-    Moment buffers live in the optimizer; ``step()`` requires every
-    parameter to carry a gradient buffer (call ``zero_grad()`` before the
-    backward pass so untouched parameters read as zero gradient). Only the
+    The parameters are copied, in list order, into the fp64 vector ``data``,
+    and each tensor's ``.data`` becomes a view of it; after ``zero_grad()``
+    each ``.grad`` is a view of ``grad``, so the backward pass sums into it.
+    Rebinding a parameter's ``.data`` detaches it: write into the array
+    instead. ``step()`` requires every parameter to carry a gradient (one
+    bound to another array is copied into its view first). Only the
     learning rate is settable.
     """
 
@@ -26,35 +33,38 @@ class Adam:
         self.params = list(params)
         self.lr = lr
         self.t = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.data = np.concatenate([p.data.ravel() for p in self.params] or [np.empty(0)])
+        self.grad, self.m, self.v, self._buf = (np.zeros_like(self.data) for _ in range(4))
+        self._grads, start = [], 0
+        for p in self.params:
+            stop = start + p.data.size
+            p.data = self.data[start:stop].reshape(p.data.shape)
+            self._grads.append(self.grad[start:stop].reshape(p.data.shape))
+            start = stop
+        state = (self.grad, self.m, self.v, self._buf, self.data)
+        self._blocks = [[a[lo : lo + _BLOCK] for a in state] for lo in range(0, start, _BLOCK)]
 
     def zero_grad(self) -> None:
-        for p in self.params:
-            if p.grad is not None and p.grad.shape == p.data.shape:
-                p.grad.fill(0.0)
-            else:
-                p.grad = np.zeros_like(p.data)
+        self.grad.fill(0.0)
+        for p, grad in zip(self.params, self._grads):
+            p.grad = grad
 
     def step(self) -> None:
-        missing = [i for i, p in enumerate(self.params) if p.grad is None]
-        if missing:
-            raise RuntimeError(
-                f"parameter {missing[0]} has no gradient; run zero_grad() and "
-                "backward() before step()"
-            )
+        for i, (p, grad) in enumerate(zip(self.params, self._grads)):
+            if p.grad is None:
+                raise RuntimeError(
+                    f"parameter {i} has no gradient; run zero_grad() and backward() before step()"
+                )
+            if p.grad is not grad:
+                grad[...] = p.grad
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
-        scale = self.lr / bc1
-        for p, m, v in zip(self.params, self.m, self.v):
-            g = p.grad
+        for g, m, v, buf, data in self._blocks:
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += np.multiply(g, 1.0 - self.beta1, out=buf)
             v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            denom = np.sqrt(v / bc2)
-            denom += self.eps
-            np.divide(m, denom, out=denom)
-            denom *= scale
-            p.data -= denom
+            v += np.multiply(np.multiply(g, g, out=buf), 1.0 - self.beta2, out=buf)
+            np.sqrt(np.divide(v, bc2, out=buf), out=buf)
+            buf += self.eps
+            data -= np.multiply(np.divide(m, buf, out=buf), self.lr / bc1, out=buf)

@@ -311,8 +311,7 @@ def train(
     rng = np.random.default_rng(config.seed)
     params = init_params(config, g.feature_dim, g.num_classes, rng)
     fair = config.model == "degfair"
-    trainable = params.all_tensors(include_debias=fair)
-    opt = Adam(trainable, lr=config.lr)
+    opt = Adam(params.all_tensors(include_debias=fair), lr=config.lr)
     forward_args = dict(
         dropout_rate=config.dropout,
         rng=rng,
@@ -326,8 +325,7 @@ def train(
     context0 = None
 
     history = TrainHistory()
-    best_val = -1.0  # epoch 0 always beats this, so best_data gets filled
-    best_data: list[np.ndarray] = []
+    best_val = -1.0  # epoch 0 always beats this, so best gets set
     since_best = 0
 
     for epoch in range(config.epochs):
@@ -370,11 +368,11 @@ def train(
             )
         tape.backward(total)
         opt.step()
-        for name, t in params.named_tensors():
-            if not np.isfinite(t.data).all():
-                raise TrainingDivergedError(
-                    f"parameter {name} is non-finite after the step at epoch {epoch}"
-                )
+        if not np.isfinite(opt.data).all():
+            name = next(n for n, t in params.named_tensors() if not np.isfinite(t.data).all())
+            raise TrainingDivergedError(
+                f"parameter {name} is non-finite after the step at epoch {epoch}"
+            )
 
         probs_eval, context0 = _eval_forward(g, params, config, ops, feats, context0)
         preds = np.argmax(probs_eval, axis=1)
@@ -388,15 +386,14 @@ def train(
         if va_acc > best_val:
             best_val = va_acc
             history.best_epoch = epoch
-            best_data = [t.data.copy() for t in trainable]
+            best = opt.data.copy()
             since_best = 0
         else:
             since_best += 1
             if since_best >= config.patience:
                 break
 
-    for t, data in zip(trainable, best_data):
-        t.data = data
+    opt.data[...] = best
     return params, history
 
 

@@ -911,6 +911,59 @@ def test_adam_missing_grad_is_state_error():
         opt.step()
 
 
+def test_adam_keeps_parameters_and_gradients_in_flat_vectors():
+    rng = np.random.default_rng(2)
+    x = Tensor(rng.standard_normal((4, 3)))
+    w = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+    b = Tensor(rng.standard_normal((1, 2)), requires_grad=True)
+    ref_w, ref_b = (Tensor(t.data.copy(), requires_grad=True) for t in (w, b))
+    with Tape() as tape:
+        loss = ad.sq_norm(ad.affine(x, ref_w, ref_b))
+    tape.backward(loss)
+
+    opt = Adam([w, b], lr=0.1)
+    assert np.array_equal(opt.data, np.concatenate([ref_w.data.ravel(), ref_b.data.ravel()]))
+    assert np.shares_memory(w.data, opt.data) and np.shares_memory(b.data, opt.data)
+    opt.zero_grad()
+    with Tape() as tape:
+        loss = ad.sq_norm(ad.affine(x, w, b))
+    tape.backward(loss)
+    # The backward summed into the views, so the flat vector holds the gradient.
+    assert np.array_equal(opt.grad, np.concatenate([ref_w.grad.ravel(), ref_b.grad.ravel()]))
+    assert not np.shares_memory(w.grad, b.grad)
+    opt.step()
+    assert np.array_equal(np.concatenate([w.data.ravel(), b.data.ravel()]), opt.data)
+    assert not np.array_equal(w.data, ref_w.data)
+
+
+def test_adam_matches_a_per_tensor_reference_across_blocks():
+    # 90107 floats span three of the update's blocks, and the tensors straddle
+    # block boundaries. The update is the per-tensor reference's arithmetic,
+    # op for op, so the parameters agree bit for bit.
+    rng = np.random.default_rng(5)
+    shapes = [(300, 129), (1, 7), (257, 200)]
+    params = [Tensor(rng.standard_normal(s), requires_grad=True) for s in shapes]
+    ref = [p.data.copy() for p in params]
+    m, v = [np.zeros(s) for s in shapes], [np.zeros(s) for s in shapes]
+    opt = Adam(params, lr=0.05)
+    for t in range(1, 4):
+        grads = [rng.standard_normal(s) for s in shapes]
+        opt.zero_grad()
+        params[0].grad[...] = grads[0]
+        params[1].grad = grads[1]  # bound elsewhere: copied into its view
+        params[2].grad[...] = grads[2]
+        opt.step()
+        bc1, bc2 = 1.0 - Adam.beta1**t, 1.0 - Adam.beta2**t
+        for r, mt, vt, g in zip(ref, m, v, grads):
+            mt *= Adam.beta1
+            mt += (1.0 - Adam.beta1) * g
+            vt *= Adam.beta2
+            vt += (1.0 - Adam.beta2) * (g * g)
+            r -= (mt / (np.sqrt(vt / bc2) + Adam.eps)) * (0.05 / bc1)
+    for p, r in zip(params, ref):
+        assert np.array_equal(p.data, r)
+
+
 def test_adam_deterministic_trajectory():
     def run():
         rng = np.random.default_rng(11)

@@ -483,6 +483,20 @@ def test_top_bottom_restricted_universe():
     assert ga.groups[1].tolist() == [3, 5]
 
 
+@pytest.mark.parametrize("make_universe", [
+    pytest.param(lambda: {5, 1, 4, 3}, id="set"),
+    pytest.param(lambda: (i for i in (5, 1, 4, 3)), id="generator"),
+    pytest.param(lambda: [[5, 1], [4, 3]], id="nested-list"),
+    pytest.param(lambda: np.array([5, 1, 4, 3]), id="unsorted-array"),
+])
+def test_top_bottom_universe_from_any_iterable(make_universe):
+    # np.asarray of a set or a generator is a single object, not its nodes.
+    deg = np.array([9.0, 1.0, 5.0, 7.0, 3.0, 8.0])
+    ga = partition_top_bottom(deg, 0.5, node_universe=make_universe())
+    assert ga.groups[0].tolist() == [1, 4]
+    assert ga.groups[1].tolist() == [3, 5]
+
+
 @st.composite
 def degree_universes(draw):
     """Integer-valued degrees plus a universe of >= 2 nodes (None = every node)."""

@@ -253,6 +253,18 @@ def test_bad_node_ids_are_rejected(call, message):
         call()
 
 
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: accuracy([0, 1, 0], [0, 1], [2]), id="accuracy"),
+    pytest.param(lambda: delta_deo([0, 1, 0], [0, 1], [0], [2], 2), id="delta_deo"),
+    pytest.param(lambda: build_report([0, 1, 0], [0, 1], [0, 1, 2], np.array([1.0, 2.0, 3.0]), 0.5),
+                 id="build_report"),
+])
+def test_labels_shorter_than_preds_are_rejected(call):
+    # Node 2 has a prediction but no label: numpy's IndexError before the check.
+    with pytest.raises(ValueError, match="^labels has 2 entries, preds has 3$"):
+        call()
+
+
 # ------------------------------------------------------------------ aggregate
 
 

@@ -166,6 +166,25 @@ def test_training_deterministic():
         assert np.array_equal(ta.data, tb.data)
 
 
+@pytest.mark.parametrize("kind,model,seed", [
+    ("gcn", "degfair", 0), ("gcn", "base", 0), ("gat", "degfair", 4), ("sage", "base", 2),
+])
+def test_train_returns_the_selected_epochs_parameters(kind, model, seed):
+    # A rerun that stops at the selected epoch ends with that epoch's
+    # parameters: the eval forward draws no randomness, so both runs agree
+    # up to there, and the longer run must restore them bit for bit.
+    g = synth_generate(120, 2, 0.9, 8, 3)
+    split = split_nodes(g.num_nodes, (0.6, 0.2, 0.2), seed=3)
+    cfg = quick_config(base_gnn=kind, model=model, hidden_dim=8, epochs=12, patience=12,
+                       seed=seed)
+    params, hist = train(g, split, cfg)
+    assert hist.best_epoch < cfg.epochs - 1
+    rerun, rerun_hist = train(g, split, dataclasses.replace(cfg, epochs=hist.best_epoch + 1))
+    assert rerun_hist.best_epoch == hist.best_epoch
+    for (name, a), (_, b) in zip(params.named_tensors(), rerun.named_tensors()):
+        assert np.array_equal(a.data, b.data), name
+
+
 @pytest.mark.parametrize("dropout_input", [False, True])
 def test_kept_layer0_context_trains_bit_identically(monkeypatch, dropout_input):
     # train() keeps layer 0's context embedding across forwards; a forward
@@ -443,6 +462,21 @@ def test_divergence_names_the_first_non_finite_parameter():
 
     # An infinite step size makes every parameter non-finite at epoch 0; the
     # first in registry order is named.
+    with pytest.raises(
+        TrainingDivergedError,
+        match=r"^parameter layer0\.omega\.b is non-finite after the step at epoch 0$",
+    ), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        train(g, split, cfg)
+
+
+def test_base_divergence_names_an_omega_tensor():
+    # The optimizer holds only the omega tensors; the name comes from the
+    # walk over every tensor, whose debiasing nets stay finite.
+    g, split = small_setup(seed=0, n=30)
+    cfg = quick_config(model="base", epochs=3, patience=3, dropout=0.0, lr=np.inf)
+    from degfair.training import TrainingDivergedError
+
     with pytest.raises(
         TrainingDivergedError,
         match=r"^parameter layer0\.omega\.b is non-finite after the step at epoch 0$",
