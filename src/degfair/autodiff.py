@@ -103,8 +103,9 @@ class Tape:
     """Execution-ordered record of differentiable ops for one context.
 
     Use as a context manager around the forward computation, then call
-    :meth:`backward` on the resulting scalar loss. A tape can run backward
-    once; build a fresh tape per training step.
+    :meth:`backward` on the resulting scalar loss. It may be entered more
+    than once before backward; each entry appends to the one record. A tape
+    can run backward once; build a fresh tape per training step.
     """
 
     def __init__(self):

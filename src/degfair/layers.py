@@ -49,6 +49,7 @@ __all__ = [
     "build_operators",
     "base_aggregate",
     "fair_layer_forward",
+    "forward_layer",
     "model_forward",
     "base_forward",
 ]
@@ -289,17 +290,27 @@ def build_operators(
 # -------------------------------------------------------------- layer pieces
 
 
+_NORM_BLOCK = 1 << 15  # floats per block of input_features' row norms (256 KB)
+
+
 def input_features(g: Graph, feature_norm: str = "none") -> Tensor:
     """Input feature rows, optionally length-normalized.
 
     ``"l2"`` scales each row to unit Euclidean norm (zero rows are left
-    alone), the usual preparation for count-style features.
+    alone), the usual preparation for count-style features. The norms are
+    taken over blocks of rows, so the squares never fill an n x d
+    temporary; each row's sum is the same as in one call over all rows.
     """
     if feature_norm == "none":
         return Tensor(g.features)
     if feature_norm == "l2":
-        norms = np.linalg.norm(g.features, axis=1, keepdims=True)
-        return Tensor(g.features / np.maximum(norms, 1e-12))
+        x = g.features
+        out = np.empty(x.shape)
+        rows = max(1, _NORM_BLOCK // max(1, x.shape[1]))
+        for i in range(0, x.shape[0], rows):
+            norms = np.linalg.norm(x[i : i + rows], axis=1, keepdims=True)
+            np.divide(x[i : i + rows], np.maximum(norms, 1e-12), out=out[i : i + rows])
+        return Tensor(out)
     raise ValueError(f'feature_norm must be "none" or "l2", got {feature_norm!r}')
 
 
@@ -399,6 +410,31 @@ def fair_layer_forward(
     )
 
 
+def forward_layer(
+    h: Tensor, ops: GraphOperators, params: ModelParams, i: int, eps=None, ctx=None
+) -> LayerTraceEntry | Tensor:
+    """Layer ``i`` of :func:`model_forward` (``eps`` given) or of :func:`base_forward`.
+
+    Returns the layer's trace entry or its output tensor, which that forward
+    takes back as ``layer0`` for i == 0. The last layer ends in a softmax,
+    the others in a ReLU. ``ctx`` is as in :func:`fair_layer_forward`.
+    """
+    activation = "softmax" if i == len(params.layers) - 1 else "relu"
+    if eps is None:
+        return _activate(base_aggregate(h, ops, params.layers[i].omega, params.kind), activation)
+    return fair_layer_forward(h, ops, params.layers[i], params.kind, eps, activation, ctx=ctx)
+
+
+def _forward_input(g, dropout_rate, rng, dropout_input, features, layer0) -> Tensor:
+    """Layer 0's input, ``features`` or the graph's, with input dropout when asked."""
+    if dropout_rate > 0.0 and rng is None:
+        raise ValueError("dropout needs an rng")
+    if dropout_input and layer0 is not None:
+        raise ValueError("layer0 is computed on the undropped input; it excludes dropout_input")
+    h = features if features is not None else Tensor(g.features)
+    return dropout(h, dropout_rate, rng) if dropout_input else h
+
+
 def model_forward(
     g: Graph,
     params: ModelParams,
@@ -408,7 +444,7 @@ def model_forward(
     rng: np.random.Generator | None = None,
     dropout_input: bool = False,
     features: Tensor | None = None,
-    context0: Tensor | None = None,
+    layer0: LayerTraceEntry | None = None,
 ) -> ForwardTrace:
     """Full forward pass: ReLU hidden layers, softmax output layer.
 
@@ -417,23 +453,16 @@ def model_forward(
     ``dropout_rate`` of 0. Dropout is applied to hidden activations, and to
     the input features as well when ``dropout_input`` is set. ``features``
     overrides the raw graph features (e.g. a normalized copy).
-    ``context0`` is layer 0's context embedding (``ops.ctx_mean`` times the
-    layer's input) from an earlier forward on the same input, which the
-    trace holds as ``layers[0].ctx``; it depends on no parameter, so a
-    caller may keep it across forwards.
+    ``layer0`` is layer 0's entry from :func:`forward_layer` at the same
+    parameters and undropped input; the forward starts from it, applies
+    dropout to its output as usual and runs the remaining layers. Passing
+    it with ``dropout_input`` raises ``ValueError``.
     """
-    if dropout_rate > 0.0 and rng is None:
-        raise ValueError("dropout needs an rng")
-    h = features if features is not None else Tensor(g.features)
-    if dropout_input:
-        h = dropout(h, dropout_rate, rng)
+    h = _forward_input(g, dropout_rate, rng, dropout_input, features, layer0)
     entries = []
     last = len(params.layers) - 1
-    for i, layer in enumerate(params.layers):
-        entry = fair_layer_forward(
-            h, ops, layer, params.kind, eps, "softmax" if i == last else "relu",
-            ctx=context0 if i == 0 else None,
-        )
+    for i in range(len(params.layers)):
+        entry = layer0 if i == 0 and layer0 is not None else forward_layer(h, ops, params, i, eps)
         entries.append(entry)
         h = entry.h
         if i != last:
@@ -451,17 +480,16 @@ def base_forward(
     rng: np.random.Generator | None = None,
     dropout_input: bool = False,
     features: Tensor | None = None,
+    layer0: Tensor | None = None,
 ) -> Tensor:
-    """Plain base-GNN forward (no debiasing path); returns probabilities."""
-    if dropout_rate > 0.0 and rng is None:
-        raise ValueError("dropout needs an rng")
-    h = features if features is not None else Tensor(g.features)
-    if dropout_input:
-        h = dropout(h, dropout_rate, rng)
+    """Plain base-GNN forward (no debiasing path); returns probabilities.
+
+    ``layer0`` is layer 0's output as in :func:`model_forward`.
+    """
+    h = _forward_input(g, dropout_rate, rng, dropout_input, features, layer0)
     last = len(params.layers) - 1
-    for i, layer in enumerate(params.layers):
-        pre = base_aggregate(h, ops, layer.omega, params.kind)
-        h = _activate(pre, "softmax" if i == last else "relu")
+    for i in range(len(params.layers)):
+        h = layer0 if i == 0 and layer0 is not None else forward_layer(h, ops, params, i)
         if i != last:
             h = dropout(h, dropout_rate, rng)
     return h

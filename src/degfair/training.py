@@ -25,12 +25,12 @@ from degfair.autodiff import Tape, Tensor, no_grad
 from degfair.graphs import Graph, NodeSplit, mean_degree, partition_contrast
 from degfair.layers import (
     GatHead,
-    GraphOperators,
     LayerParams,
     Linear,
     ModelParams,
     base_forward,
     build_operators,
+    forward_layer,
     input_features,
     model_forward,
 )
@@ -183,7 +183,11 @@ PRESETS: dict[str, dict] = {
 
 @dataclass
 class TrainHistory:
-    """Per-epoch records plus the index of the selected epoch."""
+    """Per-epoch records plus the index of the selected epoch.
+
+    ``epoch_seconds[e]`` covers epoch e's step and its eval, whose layer 0
+    at the new parameters is also the start of epoch e+1's training forward.
+    """
 
     losses: list[LossBreakdown] = field(default_factory=list)
     train_acc: list[float] = field(default_factory=list)
@@ -275,22 +279,17 @@ def _setup(g: Graph, config: TrainConfig):
     return groups, ops, feats
 
 
-def _eval_forward(
-    g: Graph,
-    params: ModelParams,
-    config: TrainConfig,
-    ops: GraphOperators,
-    feats,
-    context0=None,
-):
-    """Eval-mode probabilities, and layer 0's context embedding (None for base).
+def _forward(g, params: ModelParams, config: TrainConfig, ops, feats, layer0=None, **dropout_args):
+    """The configured model's forward from ``layer0``: trace (None for base), probabilities.
 
-    ``context0``, when given, is that embedding from an earlier forward.
+    Without ``dropout_args`` it is the eval-mode forward.
     """
     if config.model == "base":
-        return base_forward(g, params, ops, features=feats).data, None
-    trace = model_forward(g, params, ops, eps=config.eps, features=feats, context0=context0)
-    return trace.probs.data, trace.layers[0].ctx
+        return None, base_forward(g, params, ops, features=feats, layer0=layer0, **dropout_args)
+    trace = model_forward(
+        g, params, ops, eps=config.eps, features=feats, layer0=layer0, **dropout_args
+    )
+    return trace, trace.probs
 
 
 def train(
@@ -313,16 +312,16 @@ def train(
     fair = config.model == "degfair"
     opt = Adam(params.all_tensors(include_debias=fair), lr=config.lr)
     forward_args = dict(
-        dropout_rate=config.dropout,
-        rng=rng,
-        dropout_input=config.dropout_input,
-        features=feats,
+        dropout_rate=config.dropout, rng=rng, dropout_input=config.dropout_input
     )
     zero = Tensor([[0.0]])
-    # Layer 0's context embedding of feats depends on no parameter: it is
-    # kept from its first computation in epoch 0. Input dropout changes the
-    # training forward's input, so then only the eval forwards reuse it.
-    context0 = None
+    # Layer 0 on feats is computed once after each step. The eval forward
+    # starts from it; when the input is not dropped and another epoch
+    # follows, so does the next training forward, on whose tape it is then
+    # recorded. Its context embedding depends on no parameter and is kept
+    # from its first computation on feats.
+    layer0 = ctx0 = None
+    tape = Tape()
 
     history = TrainHistory()
     best_val = -1.0  # epoch 0 always beats this, so best gets set
@@ -331,17 +330,10 @@ def train(
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
         opt.zero_grad()
-        with Tape() as tape:
-            if fair:
-                trace = model_forward(
-                    g, params, ops, eps=config.eps,
-                    context0=None if config.dropout_input else context0, **forward_args,
-                )
-                if not config.dropout_input:
-                    context0 = trace.layers[0].ctx
-                probs = trace.probs
-            else:
-                probs = base_forward(g, params, ops, **forward_args)
+        with tape:
+            trace, probs = _forward(g, params, config, ops, feats, layer0, **forward_args)
+            if fair and not config.dropout_input:
+                ctx0 = trace.layers[0].ctx
             l1 = classification_loss(probs, g.labels, split.train)
             # A term whose coefficient is 0 is still reported, but evaluated
             # off the tape, so it costs no backward time. The base model has
@@ -374,10 +366,17 @@ def train(
                 f"parameter {name} is non-finite after the step at epoch {epoch}"
             )
 
-        probs_eval, context0 = _eval_forward(g, params, config, ops, feats, context0)
-        preds = np.argmax(probs_eval, axis=1)
+        tape = Tape()
+        reuse = not config.dropout_input and epoch + 1 < config.epochs
+        with tape if reuse else contextlib.nullcontext():
+            layer0 = forward_layer(feats, ops, params, 0, config.eps if fair else None, ctx0)
+        ctx0 = layer0.ctx if fair else None
+        preds = np.argmax(_forward(g, params, config, ops, feats, layer0)[1].data, axis=1)
         tr_acc = accuracy(preds, g.labels, split.train)
         va_acc = accuracy(preds, g.labels, split.val) if split.val.size else tr_acc
+        stop = not va_acc > best_val and since_best + 1 >= config.patience
+        if stop or not reuse:  # no training forward reads it: freed in this epoch's time
+            layer0, tape = None, Tape()
         history.losses.append(breakdown)
         history.train_acc.append(tr_acc)
         history.val_acc.append(va_acc)
@@ -400,8 +399,7 @@ def train(
 def predict(params: ModelParams, g: Graph, config: TrainConfig) -> np.ndarray:
     """Argmax class per node, dropout disabled; ties go to the lower class."""
     _, ops, feats = _setup(g, config)
-    probs, _ = _eval_forward(g, params, config, ops, feats)
-    return np.argmax(probs, axis=1)
+    return np.argmax(_forward(g, params, config, ops, feats)[1].data, axis=1)
 
 
 # ---------------------------------------------------------- model file format

@@ -1,4 +1,7 @@
+import dataclasses
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from degfair.layers import (
     context_operator,
     degree_encoding_matrix,
     fair_layer_forward,
+    forward_layer,
     input_features,
     model_forward,
 )
@@ -365,6 +369,44 @@ def test_input_features_none_is_the_raw_features():
     assert input_features(g, "none").data.tobytes() == g.features.tobytes()
 
 
+@given(rows=st.integers(1, 300), cols=st.integers(1, 40), block=st.integers(1, 600),
+       zero_every=st.integers(1, 5), seed=st.integers(0, 2**16))
+@example(rows=1000, cols=1, block=1, zero_every=1, seed=0)
+@settings(max_examples=60, deadline=None)
+def test_input_features_l2_blocks_match_one_call_over_all_rows(rows, cols, block,
+                                                              zero_every, seed):
+    # Each row's norm is a sum over that row only, so blocking the rows
+    # changes no bit; zero rows stay zero.
+    x = np.random.default_rng(seed).standard_normal((rows, cols)) * 10.0 ** (seed % 7 - 3)
+    x[::zero_every] = 0.0
+    g = make_graph(np.zeros((0, 2)), rows, feats=x)
+    want = x / np.maximum(np.linalg.norm(x, axis=1, keepdims=True), 1e-12)
+    with mock.patch.object(layers, "_NORM_BLOCK", block):
+        got = input_features(g, "l2").data
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rows,cols", [(20000, 32), (4000, 64), (300, 2000)])
+def test_input_features_l2_squares_one_block_of_rows_at_a_time(monkeypatch, rows, cols):
+    # The row norms square one block of rows at a time, never all n x d,
+    # and the peak stays below the output plus one block.
+    g = make_graph(np.zeros((0, 2)), rows,
+                   feats=np.random.default_rng(rows).standard_normal((rows, cols)))
+    block_rows = min(rows, max(1, layers._NORM_BLOCK // cols))
+    squared = []
+    norm = np.linalg.norm
+    monkeypatch.setattr(np.linalg, "norm", lambda x, **kw: squared.append(x.size) or norm(x, **kw))
+    tracemalloc.start()
+    try:
+        out = input_features(g, "l2").data
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(squared) == rows * cols and max(squared) == block_rows * cols
+    # One block of squares plus its two norm columns, and a little for objects.
+    assert peak < out.nbytes + block_rows * (cols + 2) * 8 + 32 * 1024
+
+
 def test_groups_must_cover_all_nodes():
     g = make_graph([(0, 1), (1, 2)], 3)
     from degfair.graphs import GroupAssignment
@@ -501,6 +543,41 @@ def test_dropout_without_rng_is_rejected(forward):
     g, config, ops, params = synth_setup("gcn")
     with pytest.raises(ValueError, match="dropout needs an rng"):
         forward(g, params, ops)
+
+
+@pytest.mark.parametrize("kind", ["gcn", "sage", "gat"])
+@pytest.mark.parametrize("num_layers", [1, 2])
+def test_forwards_from_a_given_layer0_match_fresh_ones(kind, num_layers):
+    # A forward that starts from layer 0 computed on its own draws the same
+    # dropout masks after it and gives the same result, bit for bit.
+    g, config, ops, _ = synth_setup(kind)
+    config = dataclasses.replace(config, num_layers=num_layers)
+    params = init_params(config, g.feature_dim, g.num_classes, np.random.default_rng(1))
+    feats = Tensor(g.features)
+    kw = dict(dropout_rate=0.5)
+    fair0 = forward_layer(feats, ops, params, 0, 0.7)
+    fresh = model_forward(g, params, ops, 0.7, rng=np.random.default_rng(5), **kw)
+    kept = model_forward(g, params, ops, 0.7, rng=np.random.default_rng(5), layer0=fair0, **kw)
+    assert kept.layers[0] is fair0
+    assert kept.probs.data.tobytes() == fresh.probs.data.tobytes()
+    base0 = forward_layer(feats, ops, params, 0)
+    fresh = base_forward(g, params, ops, rng=np.random.default_rng(5), **kw)
+    kept = base_forward(g, params, ops, rng=np.random.default_rng(5), layer0=base0, **kw)
+    assert kept.data.tobytes() == fresh.data.tobytes()
+
+
+@pytest.mark.parametrize("forward,eps", [
+    (lambda *a, **kw: model_forward(*a, eps=0.7, **kw), 0.7),
+    (base_forward, None),
+], ids=["model_forward", "base_forward"])
+def test_layer0_with_input_dropout_is_rejected(forward, eps):
+    # layer0 is computed on the undropped input; input dropout would be
+    # skipped at layer 0 without a word.
+    g, config, ops, params = synth_setup("gcn")
+    layer0 = forward_layer(Tensor(g.features), ops, params, 0, eps)
+    with pytest.raises(ValueError, match="layer0 .* dropout_input"):
+        forward(g, params, ops, dropout_rate=0.5, rng=np.random.default_rng(0),
+                dropout_input=True, layer0=layer0)
 
 
 def test_mixed_routing_matches_dense_oracle():

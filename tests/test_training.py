@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from degfair import training
+from degfair import layers, training
 from degfair.cli import main
 from degfair.graphs import (
     generalized_degree,
@@ -185,21 +185,54 @@ def test_train_returns_the_selected_epochs_parameters(kind, model, seed):
         assert np.array_equal(a.data, b.data), name
 
 
+@pytest.mark.parametrize("num_layers", [1, 2])
 @pytest.mark.parametrize("dropout_input", [False, True])
-def test_kept_layer0_context_trains_bit_identically(monkeypatch, dropout_input):
-    # train() keeps layer 0's context embedding across forwards; a forward
-    # that always recomputes it must give the same run, bit for bit.
+@pytest.mark.parametrize("model", ["degfair", "base"])
+@pytest.mark.parametrize("kind,heads", [("gcn", 1), ("sage", 1), ("gat", 2)],
+                         ids=["gcn", "sage", "gat2"])
+def test_kept_layer0_context_trains_bit_identically(monkeypatch, kind, heads, model,
+                                                    dropout_input, num_layers):
+    # train() computes layer 0 once per epoch and starts the next training
+    # forward from it; forwards that always recompute every layer must give
+    # the same run, bit for bit. Patience ends all but one of these runs
+    # after 4 of 5 epochs, so the unused last layer 0 is covered too.
     g, split = small_setup(seed=4, n=50)
-    cfg = quick_config(epochs=4, patience=4, seed=4, dropout_input=dropout_input)
+    cfg = quick_config(base_gnn=kind, gat_heads=heads, model=model, epochs=5, patience=3,
+                       seed=4, dropout_input=dropout_input, num_layers=num_layers)
     kept_params, kept = train(g, split, cfg)
-    forward = training.model_forward
-    monkeypatch.setattr(training, "model_forward",
-                        lambda *a, context0=None, **kw: forward(*a, **kw))
+    for name in ("model_forward", "base_forward"):
+        forward = getattr(training, name)
+        monkeypatch.setattr(training, name,
+                            lambda *a, _f=forward, layer0=None, **kw: _f(*a, **kw))
     fresh_params, fresh = train(g, split, cfg)
-    assert [b.total for b in kept.losses] == [b.total for b in fresh.losses]
+    assert [dataclasses.astuple(b) for b in kept.losses] == \
+        [dataclasses.astuple(b) for b in fresh.losses]
     assert kept.val_acc == fresh.val_acc
-    for ta, tb in zip(kept_params.all_tensors(), fresh_params.all_tensors()):
-        assert np.array_equal(ta.data, tb.data)
+    assert kept.best_epoch == fresh.best_epoch
+    for (name, ta), (_, tb) in zip(kept_params.named_tensors(), fresh_params.named_tensors()):
+        assert np.array_equal(ta.data, tb.data), name
+
+
+@pytest.mark.parametrize("model", ["degfair", "base"])
+@pytest.mark.parametrize("dropout_input", [False, True])
+def test_layer0_is_computed_once_per_epoch_on_undropped_input(monkeypatch, model,
+                                                             dropout_input):
+    # E epochs on undropped input: the first training forward, then one
+    # layer 0 after each step, which the eval forward and the next training
+    # forward share (E + 1). A dropped input needs its own layer 0 in every
+    # training forward (2E).
+    g, split = small_setup(seed=5, n=40)
+    epochs = 5
+    cfg = quick_config(model=model, hidden_dim=g.feature_dim + 3, epochs=epochs,
+                       patience=epochs, seed=5, dropout_input=dropout_input)
+    widths = []
+    terms = layers._aggregate_terms
+    monkeypatch.setattr(layers, "_aggregate_terms",
+                        lambda h, *a: widths.append(h.shape[1]) or terms(h, *a))
+    _, hist = train(g, split, cfg)
+    assert len(hist.losses) == epochs
+    assert widths.count(g.feature_dim) == (2 * epochs if dropout_input else epochs + 1)
+    assert widths.count(cfg.hidden_dim) == 2 * epochs
 
 
 def test_group_terms_read_each_groups_training_nodes(monkeypatch):
