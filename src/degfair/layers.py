@@ -10,7 +10,8 @@ once per unique degree value. Each node goes through the debiasing net of
 its own degree group (low or high), and that context is added into the
 aggregation pre-activation with weight ``eps``. The other group's net
 enters only through the cross-group training constraint, which builds the
-opposite context on training nodes from the layer's trace.
+opposite context on training nodes from the layer's trace. One function,
+:func:`forward_layer`, computes a layer of either forward pass.
 """
 
 from __future__ import annotations
@@ -47,8 +48,6 @@ __all__ = [
     "context_operator",
     "input_features",
     "build_operators",
-    "base_aggregate",
-    "fair_layer_forward",
     "forward_layer",
     "model_forward",
     "base_forward",
@@ -320,109 +319,65 @@ def _gat_head(h_prev: Tensor, head: GatHead, pattern: FixedSparse) -> Tensor:
     return attention_matmul(matmul(z, head.att_self), matmul(z, head.att_nbr), pattern, z)
 
 
-def _aggregate_terms(
-    h_prev: Tensor, ops: GraphOperators, omega: dict, kind: str
-) -> tuple[list[Tensor], list[float]]:
-    """The terms of the base aggregation and their coefficients, bias row last."""
-    if ops.kind != kind:
-        raise ValueError(f"operators were built for {ops.kind}, not {kind!r}")
-    try:
-        if kind == "gcn":
-            terms = [sparse_matmul(ops.agg, matmul(h_prev, omega["w"]))]
-        elif kind == "sage":
-            neigh = sparse_matmul(ops.agg, h_prev)
-            terms = [matmul(h_prev, omega["w_self"]), matmul(neigh, omega["w_neigh"])]
-        else:
-            terms = [_gat_head(h_prev, head, ops.agg) for head in omega["heads"]]
-        share = 1.0 / len(terms) if kind == "gat" else 1.0  # GAT averages its heads
-        return terms + [omega["b"]], [share] * len(terms) + [1.0]
-    except KeyError as exc:
-        raise ValueError(f"missing {kind} weight {exc.args[0]!r}") from None
-
-
-def base_aggregate(
-    h_prev: Tensor, ops: GraphOperators, omega: dict, kind: str
-) -> Tensor:
-    """Pre-activation output of the plain base aggregator, one ``weighted_sum``.
-
-    Every backbone aggregates through the one operator ``ops.agg``, which
-    must have been built for ``kind``. GCN: normalized-adjacency
-    propagation of h @ w. GraphSAGE: separate self and mean-neighbor
-    transforms. GAT: per head, the row softmax of attention scores over
-    each node's closed neighborhood weights ``ops.agg``'s pattern
-    (:func:`degfair.autodiff.attention_matmul`); heads are averaged. Each
-    aggregator ends with an output bias row; without one, a ReLU network
-    is positively homogeneous and argmax-blind to the per-node magnitude
-    that carries degree information.
-    """
-    return weighted_sum(*_aggregate_terms(h_prev, ops, omega, kind))
-
-
-def _activate(pre: Tensor, activation: str) -> Tensor:
-    if activation == "relu":
-        return relu(pre)
-    if activation == "softmax":
-        return softmax_rows(pre)
-    if activation == "identity":
-        return pre
-    raise ValueError(f"unknown activation {activation!r}")
-
-
-def fair_layer_forward(
-    h_prev: Tensor,
-    ops: GraphOperators,
-    layer: LayerParams,
-    kind: str,
-    eps: float,
-    activation: str,
-    ctx: Tensor | None = None,
-) -> LayerTraceEntry:
-    """One debiased layer: sigma(Aggr(h) + eps * own-group debiasing context).
-
-    The context is ``film_debias`` of the context embedding
-    ``ctx_mean @ h_prev`` (``ctx``, when the caller already holds it): each
-    node's row goes through its own group's debiasing net only, modulated by
-    the scale/shift rows of its degree, which the FiLM nets generate once per
-    unique degree from encodings of width ``film_scale.w.shape[0]``. The
-    trace keeps the context embedding, those unique-degree rows and both
-    nets for the training constraints. The pre-activation is one
-    ``weighted_sum``: the aggregation terms, the bias row, then the context
-    with coefficient ``eps``. With eps == 0 the own-group context is neither
-    computed nor added, so the output is bit-identical to the plain base
-    aggregation.
-    """
-    if ctx is None:
-        ctx = sparse_matmul(ops.ctx_mean, h_prev)
-    enc = Tensor(degree_encoding_matrix(ops.unique_degrees, layer.film_scale.w.shape[0]))
-    scale_u, shift_u = layer.film_scale(enc), layer.film_shift(enc)
-    debias = (layer.debias_low, layer.debias_high)
-
-    terms, coeffs = _aggregate_terms(h_prev, ops, layer.omega, kind)
-    if eps != 0.0:
-        terms.append(film_debias(ctx, ops.group, debias, scale_u, shift_u, ops.degree_inverse))
-        coeffs.append(eps)
-    return LayerTraceEntry(
-        h=_activate(weighted_sum(terms, coeffs), activation),
-        ctx=ctx,
-        scale_u=scale_u,
-        shift_u=shift_u,
-        debias=debias,
-    )
-
-
 def forward_layer(
     h: Tensor, ops: GraphOperators, params: ModelParams, i: int, eps=None, ctx=None
 ) -> LayerTraceEntry | Tensor:
     """Layer ``i`` of :func:`model_forward` (``eps`` given) or of :func:`base_forward`.
 
-    Returns the layer's trace entry or its output tensor, which that forward
-    takes back as ``layer0`` for i == 0. The last layer ends in a softmax,
-    the others in a ReLU. ``ctx`` is as in :func:`fair_layer_forward`.
+    The one per-layer function (Algorithm 1, lines 4-10). Its pre-activation
+    is one ``weighted_sum`` of the base aggregation terms, the output bias
+    row and, when ``eps`` is given and non-zero, ``eps`` times the own-group
+    debiasing context. Every backbone aggregates through the one operator
+    ``ops.agg``, which must have been built for ``params.kind``. GCN:
+    normalized-adjacency propagation of h @ w. GraphSAGE: separate self and
+    mean-neighbor transforms. GAT: per head, the row softmax of attention
+    scores over each node's closed neighborhood weights ``ops.agg``'s
+    pattern (:func:`degfair.autodiff.attention_matmul`); heads are averaged.
+    Without the bias row, a ReLU network is positively homogeneous and
+    argmax-blind to the per-node magnitude that carries degree information.
+
+    With ``eps`` given, the context is ``film_debias`` of the context
+    embedding ``ctx_mean @ h`` (``ctx``, when the caller already holds it):
+    each node's row goes through its own group's debiasing net only,
+    modulated by the scale/shift rows of its degree, which the FiLM nets
+    generate once per unique degree from encodings of width
+    ``film_scale.w.shape[0]``. The layer then returns its trace entry, which
+    keeps the context embedding, those rows and both nets for the training
+    constraints. With eps == 0 the context is neither computed nor added, so
+    the output is bit-identical to the base layer's. Without ``eps`` the
+    layer returns its output tensor. The last layer ends in a softmax, the
+    others in a ReLU.
     """
-    activation = "softmax" if i == len(params.layers) - 1 else "relu"
+    kind, layer = params.kind, params.layers[i]
+    if ops.kind != kind:
+        raise ValueError(f"operators were built for {ops.kind}, not {kind!r}")
+    if eps is not None:
+        if ctx is None:
+            ctx = sparse_matmul(ops.ctx_mean, h)
+        enc = Tensor(degree_encoding_matrix(ops.unique_degrees, layer.film_scale.w.shape[0]))
+        scale_u, shift_u = layer.film_scale(enc), layer.film_shift(enc)
+        debias = (layer.debias_low, layer.debias_high)
+    omega = layer.omega
+    try:
+        if kind == "gcn":
+            terms = [sparse_matmul(ops.agg, matmul(h, omega["w"]))]
+        elif kind == "sage":
+            neigh = sparse_matmul(ops.agg, h)
+            terms = [matmul(h, omega["w_self"]), matmul(neigh, omega["w_neigh"])]
+        else:
+            terms = [_gat_head(h, head, ops.agg) for head in omega["heads"]]
+        coeffs = [1.0 / len(terms) if kind == "gat" else 1.0] * len(terms) + [1.0]
+        terms.append(omega["b"])
+    except KeyError as exc:
+        raise ValueError(f"missing {kind} weight {exc.args[0]!r}") from None
+    if eps is not None and eps != 0.0:
+        terms.append(film_debias(ctx, ops.group, debias, scale_u, shift_u, ops.degree_inverse))
+        coeffs.append(eps)
+    pre = weighted_sum(terms, coeffs)
+    out = softmax_rows(pre) if i == len(params.layers) - 1 else relu(pre)
     if eps is None:
-        return _activate(base_aggregate(h, ops, params.layers[i].omega, params.kind), activation)
-    return fair_layer_forward(h, ops, params.layers[i], params.kind, eps, activation, ctx=ctx)
+        return out
+    return LayerTraceEntry(h=out, ctx=ctx, scale_u=scale_u, shift_u=shift_u, debias=debias)
 
 
 def _forward_input(g, dropout_rate, rng, dropout_input, features, layer0) -> Tensor:
@@ -448,6 +403,7 @@ def model_forward(
 ) -> ForwardTrace:
     """Full forward pass: ReLU hidden layers, softmax output layer.
 
+    Each layer is one :func:`forward_layer` call, the one per-layer function.
     This is the one debiased forward: training runs it on a tape, and the
     per-epoch eval and ``predict`` run it outside one, at the default
     ``dropout_rate`` of 0. Dropout is applied to hidden activations, and to

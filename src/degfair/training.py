@@ -389,7 +389,7 @@ def train(
             since_best = 0
         else:
             since_best += 1
-            if since_best >= config.patience:
+            if stop:
                 break
 
     opt.data[...] = best

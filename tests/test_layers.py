@@ -15,12 +15,11 @@ from degfair.layers import (
     GatHead,
     LayerParams,
     Linear,
-    base_aggregate,
+    ModelParams,
     base_forward,
     build_operators,
     context_operator,
     degree_encoding_matrix,
-    fair_layer_forward,
     forward_layer,
     input_features,
     model_forward,
@@ -91,8 +90,6 @@ LAYER_REJECTIONS = [
                  id="operators-kind"),
     pytest.param(lambda: input_features(synth_generate(10, 2, 0.9, 3, seed=0), "l1"),
                  'feature_norm must be "none" or "l2", got \'l1\'', id="input-features-norm"),
-    pytest.param(lambda: layers._activate(Tensor(np.ones((2, 2))), "tanh"),
-                 "unknown activation 'tanh'", id="activation"),
 ]
 
 
@@ -210,13 +207,32 @@ def test_debias_unit_scale_doubles():
 # ------------------------------------------------------------ base aggregate
 
 
-def test_gcn_isolated_node_is_self_transform():
+@pytest.fixture
+def pre_activation(monkeypatch):
+    """forward_layer on a one-layer model, with both activations patched to the identity.
+
+    The dense oracles compare pre-activations exactly; a softmax would hide
+    a per-row shift. A bare omega dict stands for a layer on the base path,
+    which reads no other net.
+    """
+    for name in ("relu", "softmax_rows"):
+        monkeypatch.setattr(layers, name, lambda x: x)
+
+    def run(h, ops, layer, eps=None):
+        if isinstance(layer, dict):
+            layer = LayerParams(layer, None, None, None, None)
+        return forward_layer(h, ops, ModelParams(ops.kind, [layer]), 0, eps)
+
+    return run
+
+
+def test_gcn_isolated_node_is_self_transform(pre_activation):
     g = make_graph([(0, 1)], 3)
     ops = build_operators(g, 1, full_groups(g, 10.0), "gcn")
     h = Tensor(np.array([[1.0, 2.0], [0.0, 0.0], [3.0, -1.0]]))
     w = Tensor(np.array([[2.0, 0.0], [0.0, 1.0]]))
     b = Tensor(np.zeros((1, 2)))
-    out = base_aggregate(h, ops, {"w": w, "b": b}, "gcn")
+    out = pre_activation(h, ops, {"w": w, "b": b})
     # Row 2 of the normalized operator is just the self-loop with weight 1.
     assert np.allclose(out.data[2], [6.0, -1.0])
 
@@ -230,14 +246,14 @@ def test_gcn_row_sums_one_on_cycle():
     assert np.allclose(ops.agg.fwd @ ones, ones, atol=1e-12)
 
 
-def test_sage_zero_neighbor_weights():
+def test_sage_zero_neighbor_weights(pre_activation):
     g = make_graph([(0, 1), (1, 2)], 3)
     ops = build_operators(g, 1, full_groups(g, 10.0), "sage")
     h = Tensor(np.arange(6.0).reshape(3, 2))
     w_self = Tensor(np.array([[1.0, 1.0], [0.0, 1.0]]))
     w_neigh = Tensor(np.zeros((2, 2)))
     b = Tensor(np.zeros((1, 2)))
-    out = base_aggregate(h, ops, {"w_self": w_self, "w_neigh": w_neigh, "b": b}, "sage")
+    out = pre_activation(h, ops, {"w_self": w_self, "w_neigh": w_neigh, "b": b})
     assert np.allclose(out.data, h.data @ w_self.data)
 
 
@@ -298,7 +314,7 @@ def test_operators_property_match_dense_oracles(graph, r, kind):
         assert np.shares_memory(ops.ctx_mean.fwd.indptr, agg.indptr)
 
 
-def test_gat_uniform_attention_on_identical_embeddings():
+def test_gat_uniform_attention_on_identical_embeddings(pre_activation):
     g = make_graph([(0, 1), (0, 2), (0, 3)], 4)
     ops = build_operators(g, 1, full_groups(g, 10.0), "gat")
     h = Tensor(np.tile([1.0, -2.0], (4, 1)))
@@ -308,13 +324,13 @@ def test_gat_uniform_attention_on_identical_embeddings():
         att_self=Tensor(rng.standard_normal((3, 1))),
         att_nbr=Tensor(rng.standard_normal((3, 1))),
     )
-    out = base_aggregate(h, ops, {"heads": [head], "b": Tensor(np.zeros((1, 3)))}, "gat")
+    out = pre_activation(h, ops, {"heads": [head], "b": Tensor(np.zeros((1, 3)))})
     # Identical projections -> uniform attention -> output equals any z row.
     z = h.data @ head.w.data
     assert np.allclose(out.data, z, atol=1e-12)
 
 
-def test_gat_two_heads_match_dense_attention_oracle():
+def test_gat_two_heads_match_dense_attention_oracle(pre_activation):
     # Node 4 is isolated (attends to itself only); distinct rows make the
     # attention non-uniform.
     edges = [(0, 1), (0, 2), (0, 3), (1, 2), (3, 5)]
@@ -330,7 +346,7 @@ def test_gat_two_heads_match_dense_attention_oracle():
         for _ in range(2)
     ]
     b = Tensor(rng.standard_normal((1, 4)))
-    out = base_aggregate(h, ops, {"heads": heads, "b": b}, "gat")
+    out = pre_activation(h, ops, {"heads": heads, "b": b})
 
     closed = np.eye(n, dtype=bool)
     for u, v in edges:
@@ -351,16 +367,23 @@ def test_gat_two_heads_match_dense_attention_oracle():
     assert np.ptp(alphas[0][0][closed[0]]) > 0.05  # attention is not uniform
 
 
-def test_missing_weights_is_config_error():
-    g = make_graph([(0, 1)], 2)
-    h = Tensor(np.zeros((2, 2)))
-    gcn_ops = build_operators(g, 1, full_groups(g, 10.0), "gcn")
-    with pytest.raises(ValueError, match="built for gcn"):
-        base_aggregate(h, gcn_ops, {"w": Tensor(np.eye(2))}, "sage")
-    sage_ops = build_operators(g, 1, full_groups(g, 10.0), "sage")
-    with pytest.raises(ValueError, match="missing sage weight 'w_self'"):
-        base_aggregate(h, sage_ops, {"w_neigh": Tensor(np.eye(2)), "b": Tensor(np.zeros((1, 2)))},
-                       "sage")
+@pytest.mark.parametrize("kind,other,weight", [
+    ("gcn", "sage", "w"), ("sage", "gat", "w_self"), ("gat", "gcn", "heads"),
+])
+@pytest.mark.parametrize("forward", [
+    lambda *a: model_forward(*a, eps=0.7),
+    base_forward,
+], ids=["model_forward", "base_forward"])
+def test_missing_weights_is_config_error(forward, kind, other, weight):
+    # Both forwards reach the one check of the backbone against the
+    # operators, and of the layer's weights against the backbone.
+    g, config, ops, params = synth_setup(kind)
+    other_ops = build_operators(g, config.r_context, full_groups(g, 10.0), other)
+    with pytest.raises(ValueError, match=f"operators were built for {other}, not '{kind}'"):
+        forward(g, params, other_ops)
+    del params.layers[0].omega[weight]
+    with pytest.raises(ValueError, match=f"missing {kind} weight '{weight}'"):
+        forward(g, params, ops)
 
 
 def test_input_features_none_is_the_raw_features():
@@ -435,7 +458,7 @@ def path3_layer(eps, w_low=None, w_high=None):
     return g, ops, layer
 
 
-def test_fair_layer_eps_zero_is_plain_base(monkeypatch):
+def test_fair_layer_eps_zero_is_plain_base(monkeypatch, pre_activation):
     g, ops, layer = path3_layer(eps=0.0, w_low=np.eye(2), w_high=np.eye(2))
     h = Tensor(g.features)
 
@@ -445,16 +468,16 @@ def test_fair_layer_eps_zero_is_plain_base(monkeypatch):
     # With eps == 0 the debiasing op does not run at all, so nothing of it
     # can reach the output bits.
     monkeypatch.setattr(layers, "film_debias", must_not_run)
-    entry = fair_layer_forward(h, ops, layer, "gcn", eps=0.0, activation="relu")
-    base = base_aggregate(h, ops, layer.omega, "gcn")
-    assert np.array_equal(entry.h.data, np.maximum(base.data, 0.0))
+    entry = pre_activation(h, ops, layer, eps=0.0)
+    base = pre_activation(h, ops, layer)
+    assert np.array_equal(entry.h.data, base.data)
 
 
-def test_fair_layer_all_low_selects_low_context():
+def test_fair_layer_all_low_selects_low_context(pre_activation):
     g, ops, layer = path3_layer(eps=1.0, w_low=2 * np.eye(2), w_high=7 * np.eye(2))
     h = Tensor(g.features)
-    entry = fair_layer_forward(h, ops, layer, "gcn", eps=1.0, activation="identity")
-    base = base_aggregate(h, ops, layer.omega, "gcn")
+    entry = pre_activation(h, ops, layer, eps=1.0)
+    base = pre_activation(h, ops, layer)
     # All nodes sit in the low group, so only debias_low enters the output.
     low_ctx, high_ctx = (entry.ctx.data @ net.w.data + net.b.data for net in entry.debias)
     assert np.array_equal(ops.group, np.zeros(3, dtype=np.int64))
@@ -462,11 +485,11 @@ def test_fair_layer_all_low_selects_low_context():
     assert not np.allclose(low_ctx, high_ctx)
 
 
-def test_fair_layer_hand_oracle_on_path():
+def test_fair_layer_hand_oracle_on_path(pre_activation):
     # Dense-formula oracle for sigma=identity, eps=1 on the path 0-1-2.
     g, ops, layer = path3_layer(eps=1.0, w_low=2 * np.eye(2), w_high=np.zeros((2, 2)))
     x = g.features
-    entry = fair_layer_forward(Tensor(x), ops, layer, "gcn", 1.0, "identity")
+    entry = pre_activation(Tensor(x), ops, layer, eps=1.0)
 
     a_hat = np.zeros((3, 3))
     deg = np.array([1.0, 2.0, 1.0]) + 1.0
@@ -512,6 +535,21 @@ def test_eps_zero_reduction_is_bit_identical(kind):
     assert np.array_equal(
         np.argmax(fair.probs.data, axis=1), np.argmax(plain.data, axis=1)
     )
+
+
+@pytest.mark.parametrize("kind", ["gcn", "sage", "gat"])
+@pytest.mark.parametrize("eps", [None, 0.7], ids=["base", "fair"])
+def test_hidden_layers_end_in_relu_and_the_last_in_softmax(kind, eps):
+    # forward_layer picks the activation from the layer's place in the model.
+    g, config, ops, params = synth_setup(kind)
+    assert len(params.layers) == 2
+    h = Tensor(g.features)
+    for i in range(2):
+        out = forward_layer(h, ops, params, i, eps)
+        h = out if eps is None else out.h
+        if i == 0:
+            assert h.data.min() == 0.0  # no negative entries, some exact zeros
+    assert np.all(np.abs(h.data.sum(axis=1) - 1.0) <= 1e-12)
 
 
 def test_model_forward_deterministic():

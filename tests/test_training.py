@@ -223,16 +223,22 @@ def test_layer0_is_computed_once_per_epoch_on_undropped_input(monkeypatch, model
     # training forward (2E).
     g, split = small_setup(seed=5, n=40)
     epochs = 5
-    cfg = quick_config(model=model, hidden_dim=g.feature_dim + 3, epochs=epochs,
-                       patience=epochs, seed=5, dropout_input=dropout_input)
-    widths = []
-    terms = layers._aggregate_terms
-    monkeypatch.setattr(layers, "_aggregate_terms",
-                        lambda h, *a: widths.append(h.shape[1]) or terms(h, *a))
+    cfg = quick_config(model=model, epochs=epochs, patience=epochs, seed=5,
+                       dropout_input=dropout_input)
+    calls = []
+    layer = layers.forward_layer
+
+    def counted(h, ops, params, i, *a):
+        calls.append(i)
+        return layer(h, ops, params, i, *a)
+
+    # training imports forward_layer by name; the forwards look it up in layers.
+    for module in (layers, training):
+        monkeypatch.setattr(module, "forward_layer", counted)
     _, hist = train(g, split, cfg)
     assert len(hist.losses) == epochs
-    assert widths.count(g.feature_dim) == (2 * epochs if dropout_input else epochs + 1)
-    assert widths.count(cfg.hidden_dim) == 2 * epochs
+    assert calls.count(0) == (2 * epochs if dropout_input else epochs + 1)
+    assert calls.count(1) == 2 * epochs
 
 
 def test_group_terms_read_each_groups_training_nodes(monkeypatch):
