@@ -1,17 +1,23 @@
 """Dense fp64 tensors with reverse-mode gradients on an explicit tape.
 
 Everything is 2-D (scalars are 1x1, biases are 1xd rows). Ops executed
-while a :class:`Tape` is active are recorded in execution order; the
+while a :class:`Tape` is active are recorded in execution order. A tape
+entry holds no tensor: it holds the grad slot of the op's output (the
+output's ``_node``, one ``grad`` field) and, per tracked input, that
+input's slot and vjp; a leaf (a tensor created with ``requires_grad=True``)
+is its own slot. So an output's array lives only while the forward code or
+a vjp that reads it holds it, and a vjp keeps only what its adjoint reads.
+It reads its inputs' ``.data`` at backward time: ``matmul`` its operands,
+``film_debias`` its scale rows, gathered again from ``scale_u.data``. The
 backward pass replays the record in exact reverse, accumulating adjoints
-into ``.grad`` buffers. It frees each entry once replayed: the entry's
-vjp closures, with every array they captured, and its output's ``.grad``
-go, so after backward only the leaves (tensors created with
-``requires_grad=True``) hold a ``.grad``. Every vjp of an entry runs
-before any of its contributions is summed: a vjp returns ``g`` or a fresh
-array, a second parent handed ``g`` gets a copy, and each parent then
-takes its contribution or adds it in place, so no two tensors share a
-grad buffer. Outside a tape, or inside :func:`no_grad`, ops are plain
-forward evaluation.
+into the slots, and frees each entry once replayed: its vjp closures, with
+every array they captured, and its slot's grad go, so after backward only
+the leaves hold a ``.grad``. Every vjp of an entry runs before any of its
+contributions is summed: a vjp returns ``g`` or a fresh array, a second
+parent handed ``g`` gets a copy, and each parent then takes its
+contribution or adds it in place, so no two grad slots share a buffer.
+Outside a tape, or inside :func:`no_grad`, ops are plain forward
+evaluation.
 """
 
 from __future__ import annotations
@@ -49,15 +55,25 @@ class TapeError(RuntimeError):
     """Misuse of the tape (repeated backward, loss not recorded)."""
 
 
+class _Slot:
+    """Where backward sums the adjoint of one recorded op's output."""
+
+    __slots__ = ("grad",)
+
+    def __init__(self):
+        self.grad: np.ndarray | None = None
+
+
 class Tensor:
     """A 2-D fp64 array, optionally tracked for gradients.
 
-    ``grad`` is populated by :meth:`Tape.backward` and has the same shape
-    as ``data``. Scalars passed in are promoted to 1x1, 1-D arrays to a
-    single row.
+    ``grad`` is populated by :meth:`Tape.backward` on leaves and has the
+    same shape as ``data``; a recorded op's output sums its adjoint in its
+    grad slot, ``_node``, instead. Scalars passed in are promoted to 1x1,
+    1-D arrays to a single row.
     """
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -70,6 +86,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
+        self._node: _Slot | None = None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -104,12 +121,13 @@ class Tape:
 
     Use as a context manager around the forward computation, then call
     :meth:`backward` on the resulting scalar loss. It may be entered more
-    than once before backward; each entry appends to the one record. A tape
+    than once before backward; each entry appends to the one record, as the
+    output's grad slot and its tracked inputs' ``(slot, vjp)`` pairs. A tape
     can run backward once; build a fresh tape per training step.
     """
 
     def __init__(self):
-        self._entries: list[tuple[Tensor, list]] = []
+        self._entries: list[tuple[_Slot, list]] = []
         self._replayed = 0
         self._used = False
 
@@ -128,8 +146,8 @@ class Tape:
     def backward(self, loss: Tensor) -> None:
         """Populate ``.grad`` on every leaf the loss depends on.
 
-        Each entry is freed once replayed, and its output's ``.grad`` with
-        it, so the tape's memory goes as the replay proceeds.
+        Each entry is freed once replayed, and its slot's grad with it, so
+        the tape's memory goes as the replay proceeds.
         """
         if self._used:
             raise TapeError("backward was already run on this tape")
@@ -138,17 +156,17 @@ class Tape:
         if not loss.requires_grad:
             raise TapeError("loss is not connected to any tracked tensor")
         self._used = True
-        loss.grad = np.ones((1, 1))
+        (loss._node or loss).grad = np.ones((1, 1))
         # A vjp returns ``g`` or a fresh array; all reads of ``g`` end before
-        # any in-place sum; ``g`` is held by at most one tensor.
+        # any in-place sum; ``g`` is held by at most one slot.
         entries = self._entries
         while entries:
-            out, pairs = entries.pop()
+            slot, pairs = entries.pop()
             self._replayed += 1
-            g = out.grad
+            g = slot.grad
             if g is None:
                 continue
-            out.grad = None
+            slot.grad = None
             contribs = [vjp(g) for _, vjp in pairs]
             shared = [k for k, c in enumerate(contribs) if c is g]
             for k in shared[1:]:
@@ -179,10 +197,10 @@ def _record(out: Tensor, pairs) -> Tensor:
     stack = _stack()
     if not stack or stack[-1] is None:
         return out
-    tracked = [(p, vjp) for p, vjp in pairs if p.requires_grad]
+    tracked = [(p._node or p, vjp) for p, vjp in pairs if p.requires_grad]
     if tracked:
-        out.requires_grad = True
-        stack[-1]._entries.append((out, tracked))
+        out.requires_grad, out._node = True, _Slot()
+        stack[-1]._entries.append((out._node, tracked))
     return out
 
 
@@ -330,9 +348,10 @@ def group_mean_gap(h: Tensor, low, high) -> Tensor:
     if low.size == 0 or high.size == 0:
         raise ValueError("group_mean_gap needs two nonempty groups")
     gap = h.data[low].mean(axis=0, keepdims=True) + -1.0 * h.data[high].mean(axis=0, keepdims=True)
+    n = h.shape[0]
 
     def spread(rows, sign):
-        return lambda g: _scatter_matrix(rows, h.shape[0]) @ np.repeat(
+        return lambda g: _scatter_matrix(rows, n) @ np.repeat(
             (sign * (2.0 * g[0, 0] * gap)) / rows.size, rows.size, axis=0)
 
     return _record(Tensor(np.einsum("ij,ij->", gap, gap)),
@@ -400,9 +419,9 @@ def film_debias(
         part = ctx.data[src] @ w.data
         part += b.data
         raw[rows] = part
-    scale1 = scale_u.data[inv]
-    scale1 += 1.0
-    out = scale1 * raw
+    out = scale_u.data[inv]
+    out += 1.0
+    out *= raw
     out += shift_u.data[inv]
 
     # g * (scale + 1), split by net, is formed once and shared by the
@@ -413,7 +432,9 @@ def film_debias(
 
     def net_grads(g):
         if not scaled_parts:
-            scaled = g * scale1
+            scaled = scale_u.data[inv]
+            scaled += 1.0
+            scaled *= g
             scaled_parts.extend(scaled[rows] for rows in parts)
         return scaled_parts
 
@@ -522,9 +543,9 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
     if p == 0.0:
         return x
     keep = rng.random(x.shape) >= p
-    scale = keep / (1.0 - p)
-    out = Tensor(x.data * scale)
-    return _record(out, [(x, lambda g: g * scale)])
+    survivor = 1.0 / (1.0 - p)
+    out = Tensor(x.data * (keep * survivor))
+    return _record(out, [(x, lambda g: g * (keep * survivor))])
 
 
 # --------------------------------------------------------- gradient checking

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import sparse
 
 from degfair import autodiff as ad
@@ -303,6 +304,70 @@ def test_film_debias_property_matches_dense_oracle_and_fd(case):
     assert np.array_equal(shift_u.grad[unused], np.zeros((unused.size, width)))
     if n:
         assert not x.grad[route == -1].any()
+
+
+def film_debias_reference(ctx, route, nets, scale_u, shift_u, inv, g):
+    """``film_debias``'s output and adjoints as ops on whole arrays, in its order.
+
+    The output is ``(scale_u[inv] + 1) * raw + shift_u[inv]`` with ``raw`` the
+    routed net outputs; the adjoints scale ``g`` by ``scale_u[inv] + 1`` and
+    reduce onto the degree rows with the scatter matrix.
+    """
+    routed = np.flatnonzero(route >= 0)
+    route, inv = route[routed], inv[routed]
+    parts = [np.flatnonzero(route == k) for k in range(len(nets))]
+    sources = [routed[rows] for rows in parts]
+    raw = np.empty((routed.size, scale_u.shape[1]))
+    for rows, src, (w, b) in zip(parts, sources, nets):
+        part = ctx[src] @ w
+        part += b
+        raw[rows] = part
+    scale1 = scale_u[inv]
+    scale1 += 1.0
+    out = scale1 * raw
+    out += shift_u[inv]
+    scaled = g * scale1
+    by_degree = ad._scatter_matrix(inv, scale_u.shape[0])
+    g_ctx = np.zeros(ctx.shape)
+    g_nets = []
+    for rows, src, (w, _) in zip(parts, sources, nets):
+        g_ctx[src] = scaled[rows] @ w.T
+        g_nets += [ctx[src].T @ scaled[rows], scaled[rows].sum(axis=0, keepdims=True)]
+    return out, [g_ctx, *g_nets, by_degree @ (g * raw), by_degree @ g]
+
+
+def same_bits(a, b):
+    """Equal values, NaN where NaN, and the same sign bit everywhere (so -0.0 != 0.0)."""
+    return (a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+SPECIAL = (0.0, -0.0, np.inf, -np.inf, np.nan, -1.0, 1.5, -2.25)
+
+
+@settings(max_examples=80, deadline=None)
+@given(film_debias_cases())
+@example(case=(5, 2, 3, 2, 2, np.array([1, -1, 0, -1, 1]), np.array([0, 1, 1, 0, 0]), 9))
+def test_film_debias_property_is_bit_identical_to_its_array_formula(case):
+    # Scale rows of -1 give a zero FiLM factor; special values in the scale
+    # and shift rows reach the output's signs, infinities and NaNs.
+    n, d_in, width, num_nets, unique, route, inv, seed = case
+    rng = np.random.default_rng(seed)
+    x = tensor(rng, n, d_in) if n else Tensor(np.zeros((0, d_in)), requires_grad=True)
+    nets = [(tensor(rng, d_in, width), tensor(rng, 1, width)) for _ in range(num_nets)]
+    scale_u, shift_u = (Tensor(rng.choice(SPECIAL, (unique, width)), requires_grad=True)
+                        for _ in range(2))
+    cot = rng.standard_normal((int((route >= 0).sum()), width))
+    with np.errstate(invalid="ignore"):
+        with Tape() as tape:
+            out = ad.film_debias(x, route, nets, scale_u, shift_u, inv)
+            loss = contract(out, cot)
+        tape.backward(loss)
+        want, grads = film_debias_reference(x.data, route, [(w.data, b.data) for w, b in nets],
+                                            scale_u.data, shift_u.data, inv, cot)
+    assert same_bits(out.data, want)
+    leaves = [x] + [t for net in nets for t in net] + [scale_u, shift_u]
+    assert all(same_bits(t.grad, grad) for t, grad in zip(leaves, grads))
 
 
 @st.composite
@@ -629,7 +694,7 @@ def test_backward_frees_the_tape_as_it_replays_it():
     tape.backward(outputs[-1])
     assert len(tape) == recorded
     assert captured() is None
-    assert all(t.grad is None for t in outputs)
+    assert all(t._node.grad is None and t.grad is None for t in outputs)
     # Leaf grads against the dense oracle: d/dw sum((x @ w) * scale) = x.T @ scale,
     # and v enters twice with identity adjoints into buffers of its own.
     assert np.allclose(w.grad, want_w, rtol=1e-12, atol=1e-12)
@@ -638,6 +703,40 @@ def test_backward_frees_the_tape_as_it_replays_it():
     with pytest.raises(TapeError):
         tape.backward(outputs[-1])
     assert len(tape) == recorded
+
+
+def test_tape_pins_no_op_output():
+    # The tape holds grad slots, not outputs: an output array that no vjp
+    # reads dies with the forward code's last reference to it. Of the chain
+    # below, only sq_norm's adjoint reads its input (the ReLU output).
+    rng = np.random.default_rng(8)
+    op = ad.FixedSparse(sparse.random(6, 5, density=0.5, random_state=3, format="csr"))
+    x, w, b = Tensor(rng.standard_normal((5, 4))), tensor(rng, 4, 3), tensor(rng, 1, 3)
+
+    def chain(keep):
+        with Tape() as tape:
+            mixed = ad.matmul(x, w)
+            spread = ad.sparse_matmul(op, mixed)
+            pre = ad.weighted_sum([spread, b], [1.0, 1.0])
+            act = ad.relu(pre)
+            loss = ad.sq_norm(act)
+        outputs = {"mixed": mixed, "spread": spread, "pre": pre, "act": act}
+        refs = {name: weakref.ref(t.data) for name, t in outputs.items()}
+        return tape, loss, refs, list(outputs.values()) if keep else None
+
+    def grads(tape, loss):
+        w.grad = b.grad = None
+        tape.backward(loss)
+        return w.grad, b.grad
+
+    tape, loss, refs, _ = chain(keep=False)
+    assert [name for name, ref in refs.items() if ref() is not None] == ["act"]
+    got = grads(tape, loss)
+    assert refs["act"]() is None  # freed with sq_norm's entry
+    tape, loss, _, outputs = chain(keep=True)
+    want = grads(tape, loss)
+    assert all(np.array_equal(a, c) for a, c in zip(got, want))
+    assert all(t._node.grad is None for t in outputs)
 
 
 def test_backward_hands_an_identity_grad_to_one_parent_only():
@@ -875,6 +974,27 @@ def test_dropout_scales_survivors():
     out = ad.dropout(x, 0.5, np.random.default_rng(7))
     vals = np.unique(out.data)
     assert set(vals.tolist()) == {0.0, 2.0}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 6))),
+       st.integers(0, 2**32 - 1))
+@example(p=0.3, x=np.array([SPECIAL, SPECIAL[::-1]]), seed=0)
+@example(p=0.7, x=np.array([SPECIAL, SPECIAL[::-1]]), seed=1)
+def test_dropout_property_is_bit_identical_to_keep_over_one_minus_p(p, x, seed):
+    # Inputs and cotangents hold +-0, +-inf and NaN: a dropped entry is
+    # x * 0.0 (NaN for an infinity, a signed zero otherwise), bit for bit.
+    keep = np.random.default_rng(seed).random(x.shape) >= p
+    cot = x[::-1, ::-1].copy()
+    t = Tensor(x, requires_grad=True)
+    with np.errstate(invalid="ignore", over="ignore"):
+        with Tape() as tape:
+            out = ad.dropout(t, p, np.random.default_rng(seed))
+            loss = contract(out, cot)
+        tape.backward(loss)
+        assert same_bits(out.data, x * (keep / (1 - p)))
+        assert same_bits(t.grad, cot * (keep / (1 - p)))
 
 
 def test_dropout_rejects_bad_rate():

@@ -550,18 +550,19 @@ def test_degfair_epoch_records_at_most_its_tape_entries(monkeypatch, kind, heads
 @pytest.mark.parametrize("kind", ["gcn", "sage", "gat"])
 def test_full_objective_backward_never_shares_a_grad_buffer(kind):
     # Criterion 2's full objective (GAT with 2 heads), taped once. Before each
-    # vjp runs (that is, after the previous entry's sums), no two tensors on
-    # the tape hold grads that share memory; at the end every trainable leaf
-    # has its own grad. SAGE's pre-activation has two coefficient-1 terms, so
-    # one entry hands ``g`` to two parents and the second must get a copy.
+    # vjp runs (that is, after the previous entry's sums), no two grad slots
+    # on the tape (leaves are their own slots) hold grads that share memory;
+    # at the end every trainable leaf has its own grad. SAGE's pre-activation
+    # has two coefficient-1 terms, so one entry hands ``g`` to two parents and
+    # the second must get a copy.
     program, leaves = full_loss_program(kind)
     with Tape() as tape:
         loss = program()
-    tensors = list({id(t): t for out, pairs in tape._entries
-                    for t in [out] + [p for p, _ in pairs]}.values())
+    slots = list({id(s): s for slot, pairs in tape._entries
+                  for s in [slot] + [p for p, _ in pairs]}.values())
 
     def shared_pairs():
-        grads = [t.grad for t in tensors if t.grad is not None]
+        grads = [s.grad for s in slots if s.grad is not None]
         return sum(np.shares_memory(a, b) for i, a in enumerate(grads) for b in grads[:i])
 
     checked = []

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib.util
 import json
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from degfair import layers, training
+from degfair.autodiff import Tape
 from degfair.cli import main
 from degfair.graphs import (
     generalized_degree,
@@ -239,6 +241,48 @@ def test_layer0_is_computed_once_per_epoch_on_undropped_input(monkeypatch, model
     assert len(hist.losses) == epochs
     assert calls.count(0) == (2 * epochs if dropout_input else epochs + 1)
     assert calls.count(1) == 2 * epochs
+
+
+# Arrays live at the first backward, in units of one n x hidden float64
+# array (n = 2000, hidden = 64 features and units, 2 classes; a bool mask is
+# 1/8 unit). Degfair GCN: layer 0's context embedding, its film_debias net
+# output (read by the scale adjoint), its ReLU output and that output's
+# dropout (read by layer 1's matmul), and layer 1's context embedding: 5.
+# The ReLU mask and the dropout mask: 1/4. The cross-context term's
+# film_debias on the 0.6 n training rows keeps its net output and, for
+# sq_norm, its output: 1.2. That is 6.45; the width-2 layer 1 and the index
+# arrays add about 0.4. Base GAT: the head's projection z and its attention
+# output (both read by the score adjoints) and the dropout output: 3, the
+# two masks 1/4, and about 0.45 of attention values, scores and layer 1.
+# Each bound leaves less than one unit above that count, so one more array
+# kept alive until backward fails the test.
+@pytest.mark.parametrize("config,units", [
+    (dict(base_gnn="gcn", model="degfair", eps=1.0, mu=1e-3, lam=1e-4), 7.5),
+    (dict(base_gnn="gat", model="base", mu=0.0, lam=0.0), 4.0),
+])
+def test_epoch_holds_only_what_its_adjoints_read(monkeypatch, config, units):
+    n, hidden = 2000, 64
+    g = synth_generate(n, 2, 0.9, hidden, seed=0)
+    split = split_nodes(g.num_nodes, (0.6, 0.2, 0.2), seed=0)
+    marks = {}
+    forward, backward = training._forward, Tape.backward
+
+    def marked(name, fn):
+        def run(*args, **kwargs):
+            marks.setdefault(name, tracemalloc.get_traced_memory()[0])
+            return fn(*args, **kwargs)
+        return run
+
+    monkeypatch.setattr(training, "_forward", marked("forward", forward))
+    monkeypatch.setattr(Tape, "backward", marked("backward", backward))
+    tracemalloc.start()
+    try:
+        train(g, split, TrainConfig(**config, hidden_dim=hidden, dropout=0.5, epochs=1,
+                                    patience=1, seed=0))
+    finally:
+        tracemalloc.stop()
+    live = marks["backward"] - marks["forward"]
+    assert live < units * n * hidden * 8, live / (n * hidden * 8)
 
 
 def test_group_terms_read_each_groups_training_nodes(monkeypatch):
