@@ -93,6 +93,13 @@ def _check_fraction(fraction: float, name: str) -> None:
         raise ConfigError(f"{name} must be in (0, 0.5], got {fraction}")
 
 
+def _make_out_dir(path: str) -> None:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot create the output directory: {exc.strerror}") from None
+
+
 def parse_run_config(path: str, preset_override: str | None = None) -> dict:
     """Parse and validate a JSON run-config file.
 
@@ -105,9 +112,9 @@ def parse_run_config(path: str, preset_override: str | None = None) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read the config file: {exc.strerror}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
@@ -185,12 +192,9 @@ def format_report(rep: FairnessReport) -> str:
         "",
         f"{'class':>5} {'p_low':>10} {'p_high':>10} {'recall_low':>10} {'recall_high':>11}",
     ]
-    for y, row in enumerate(rep.per_class):
-        rl = "nan" if np.isnan(row[2]) else _fmt(row[2])
-        rh = "nan" if np.isnan(row[3]) else _fmt(row[3])
-        lines.append(
-            f"{y:>5} {_fmt(row[0]):>10} {_fmt(row[1]):>10} {rl:>10} {rh:>11}"
-        )
+    for y, row in enumerate(rep.per_class):  # an undefined recall formats as nan
+        p_low, p_high, r_low, r_high = map(_fmt, row)
+        lines.append(f"{y:>5} {p_low:>10} {p_high:>10} {r_low:>10} {r_high:>11}")
     return "\n".join(lines) + "\n"
 
 
@@ -237,7 +241,7 @@ def cmd_train(args) -> int:
         build_report(
             g.labels, g.labels, split.test, degrees, ev["fraction"], num_classes=g.num_classes
         )
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
     reports = []
     for seed, split in zip(seeds, splits):
         run_config = dataclasses.replace(config, seed=seed)
@@ -313,7 +317,7 @@ def cmd_synth(args) -> int:
                            seed=args.seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     save_graph_files(
         g,
         os.path.join(args.out, "edges.tsv"),
@@ -337,7 +341,9 @@ def cmd_degree_stats(args) -> int:
     if args.labels is None:
         # Degree stats need only the edge file; infer node count from it.
         edges = read_edges(args.edges)
-        n = int(edges.max()) + 1 if edges.size else 0
+        if not edges.size:
+            raise GraphDataError(f"{args.edges}: no edges to infer the node count from")
+        n = int(edges.max()) + 1
         g = build_graph(edges, np.zeros((n, 1)), np.zeros(n, dtype=np.int64), num_classes=1)
     else:
         g = load_graph(args.edges, args.features, args.labels)
@@ -416,8 +422,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (GraphFormatError, GraphDataError, ModelFileError, FileNotFoundError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
+    except (GraphFormatError, GraphDataError, ModelFileError, FileNotFoundError,
+            IsADirectoryError, NotADirectoryError, PermissionError) as exc:
+        detail = f"{exc.filename}: {exc.strerror}" if isinstance(exc, OSError) else exc
+        print(f"data error: {detail}", file=sys.stderr)
         return EXIT_DATA
     except TrainingDivergedError as exc:
         print(f"training diverged: {exc}", file=sys.stderr)

@@ -17,6 +17,7 @@ opposite context on training nodes from the layer's trace. One function,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -54,18 +55,11 @@ __all__ = [
 ]
 
 
-@dataclass
-class Linear:
-    """One fully connected layer: x @ w + b. Unpacks as ``(w, b)``."""
+class Linear(NamedTuple):
+    """One fully connected layer as its ``(w, b)`` pair; ``affine(x, *net)`` is x @ w + b."""
 
     w: Tensor
     b: Tensor
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return affine(x, self.w, self.b)
-
-    def __iter__(self):
-        return iter((self.w, self.b))
 
 
 @dataclass
@@ -111,9 +105,7 @@ class LayerParams:
             for k in sorted(self.omega):
                 yield f"omega.{k}", self.omega[k]
         for net in ("debias_low", "debias_high", "film_scale", "film_shift"):
-            lin = getattr(self, net)
-            yield f"{net}.w", lin.w
-            yield f"{net}.b", lin.b
+            yield from zip((f"{net}.w", f"{net}.b"), getattr(self, net))
 
 
 @dataclass
@@ -149,22 +141,23 @@ class ModelParams:
 
 @dataclass
 class LayerTraceEntry:
-    """Per-layer activations plus everything the training constraints need.
+    """One layer's output ``h`` plus everything the training constraints need.
 
-    ``ctx`` is the context embedding and ``scale_u`` / ``shift_u`` the
-    modulation rows, one per unique degree value (the trace's
+    :func:`forward_layer` returns one on both forwards. On the debiased
+    forward, ``ctx`` is the context embedding and ``scale_u`` / ``shift_u``
+    the modulation rows, one per unique degree value (the trace's
     ``degree_inverse`` maps nodes to them); ``debias`` holds the layer's
     (low, high) debiasing nets, indexed by group id. The forward ran each
     node through its own group's net only; the cross-group constraint
     rebuilds the context a node did *not* use from these, on the rows it
-    penalizes.
+    penalizes. On the base forward they are all None.
     """
 
     h: Tensor
-    ctx: Tensor
-    scale_u: Tensor
-    shift_u: Tensor
-    debias: tuple[Linear, Linear]
+    ctx: Tensor | None = None
+    scale_u: Tensor | None = None
+    shift_u: Tensor | None = None
+    debias: tuple[Linear, Linear] | None = None
 
 
 @dataclass
@@ -321,7 +314,7 @@ def _gat_head(h_prev: Tensor, head: GatHead, pattern: FixedSparse) -> Tensor:
 
 def forward_layer(
     h: Tensor, ops: GraphOperators, params: ModelParams, i: int, eps=None, ctx=None
-) -> LayerTraceEntry | Tensor:
+) -> LayerTraceEntry:
     """Layer ``i`` of :func:`model_forward` (``eps`` given) or of :func:`base_forward`.
 
     The one per-layer function (Algorithm 1, lines 4-10). Its pre-activation
@@ -341,12 +334,12 @@ def forward_layer(
     each node's row goes through its own group's debiasing net only,
     modulated by the scale/shift rows of its degree, which the FiLM nets
     generate once per unique degree from encodings of width
-    ``film_scale.w.shape[0]``. The layer then returns its trace entry, which
-    keeps the context embedding, those rows and both nets for the training
-    constraints. With eps == 0 the context is neither computed nor added, so
-    the output is bit-identical to the base layer's. Without ``eps`` the
-    layer returns its output tensor. The last layer ends in a softmax, the
-    others in a ReLU.
+    ``film_scale.w.shape[0]``, each as ``affine(enc, *net)``. The trace entry
+    then keeps the context embedding, those rows and both nets for the
+    training constraints. With eps == 0 the context is neither computed nor
+    added, so the output is bit-identical to the base layer's. Either way
+    the layer returns its :class:`LayerTraceEntry`; without ``eps`` only its
+    ``h`` is set. The last layer ends in a softmax, the others in a ReLU.
     """
     kind, layer = params.kind, params.layers[i]
     if ops.kind != kind:
@@ -355,7 +348,7 @@ def forward_layer(
         if ctx is None:
             ctx = sparse_matmul(ops.ctx_mean, h)
         enc = Tensor(degree_encoding_matrix(ops.unique_degrees, layer.film_scale.w.shape[0]))
-        scale_u, shift_u = layer.film_scale(enc), layer.film_shift(enc)
+        scale_u, shift_u = affine(enc, *layer.film_scale), affine(enc, *layer.film_shift)
         debias = (layer.debias_low, layer.debias_high)
     omega = layer.omega
     try:
@@ -376,7 +369,7 @@ def forward_layer(
     pre = weighted_sum(terms, coeffs)
     out = softmax_rows(pre) if i == len(params.layers) - 1 else relu(pre)
     if eps is None:
-        return out
+        return LayerTraceEntry(out)
     return LayerTraceEntry(h=out, ctx=ctx, scale_u=scale_u, shift_u=shift_u, debias=debias)
 
 
@@ -436,16 +429,17 @@ def base_forward(
     rng: np.random.Generator | None = None,
     dropout_input: bool = False,
     features: Tensor | None = None,
-    layer0: Tensor | None = None,
+    layer0: LayerTraceEntry | None = None,
 ) -> Tensor:
     """Plain base-GNN forward (no debiasing path); returns probabilities.
 
-    ``layer0`` is layer 0's output as in :func:`model_forward`.
+    Each layer is a :func:`forward_layer` call without ``eps``, whose entry's
+    ``h`` it reads; ``layer0`` is layer 0's entry, as in :func:`model_forward`.
     """
     h = _forward_input(g, dropout_rate, rng, dropout_input, features, layer0)
     last = len(params.layers) - 1
     for i in range(len(params.layers)):
-        h = layer0 if i == 0 and layer0 is not None else forward_layer(h, ops, params, i)
+        h = (layer0 if i == 0 and layer0 is not None else forward_layer(h, ops, params, i)).h
         if i != last:
             h = dropout(h, dropout_rate, rng)
     return h

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from degfair.autodiff import Tape, Tensor, no_grad
+from degfair.autodiff import Tape, Tensor, _indices, no_grad
 from degfair.graphs import Graph, NodeSplit, mean_degree, partition_contrast
 from degfair.layers import (
     GatHead,
@@ -201,23 +201,8 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> Tensor:
     return Tensor(rng.uniform(-bound, bound, size=(fan_in, fan_out)), requires_grad=True)
 
 
-def _zero_bias(width: int) -> Tensor:
-    return Tensor(np.zeros((1, width)), requires_grad=True)
-
-
-def _linear(rng: np.random.Generator, fan_in: int, fan_out: int) -> Linear:
-    return Linear(w=_glorot(rng, fan_in, fan_out), b=_zero_bias(fan_out))
-
-
-def _even(width: int) -> int:
-    return width if width % 2 == 0 else width + 1
-
-
-def _zero_linear(fan_in: int, fan_out: int) -> Linear:
-    return Linear(
-        w=Tensor(np.zeros((fan_in, fan_out)), requires_grad=True),
-        b=_zero_bias(fan_out),
-    )
+def _zeros(rows: int, cols: int) -> Tensor:
+    return Tensor(np.zeros((rows, cols)), requires_grad=True)
 
 
 def init_params(
@@ -253,20 +238,20 @@ def init_params(
                     for _ in range(config.gat_heads)
                 ]
             }
-        omega["b"] = _zero_bias(d_out)
+        omega["b"] = _zeros(1, d_out)
         omegas.append(omega)
 
     layers = []
     for l in range(config.num_layers):
         d_in, d_out = dims[l], dims[l + 1]
-        enc = _even(d_out)
+        enc = d_out + d_out % 2  # the degree encoding's width is even
         layers.append(
             LayerParams(
                 omega=omegas[l],
-                debias_low=_linear(rng, d_in, d_out),
-                debias_high=_linear(rng, d_in, d_out),
-                film_scale=_zero_linear(enc, d_out),
-                film_shift=_zero_linear(enc, d_out),
+                debias_low=Linear(_glorot(rng, d_in, d_out), _zeros(1, d_out)),
+                debias_high=Linear(_glorot(rng, d_in, d_out), _zeros(1, d_out)),
+                film_scale=Linear(_zeros(enc, d_out), _zeros(1, d_out)),
+                film_shift=Linear(_zeros(enc, d_out), _zeros(1, d_out)),
             )
         )
     return ModelParams(kind=config.base_gnn, layers=layers)
@@ -275,8 +260,7 @@ def init_params(
 def _setup(g: Graph, config: TrainConfig):
     groups = partition_contrast(g.degrees.astype(np.float64), config.resolve_threshold(g))
     ops = build_operators(g, config.r_context, groups, config.base_gnn)
-    feats = input_features(g, config.feature_norm)
-    return groups, ops, feats
+    return ops, input_features(g, config.feature_norm)
 
 
 def _forward(g, params: ModelParams, config: TrainConfig, ops, feats, layer0=None, **dropout_args):
@@ -302,10 +286,10 @@ def train(
     intersections with the training set. Deterministic under the config
     seed.
     """
-    groups, ops, feats = _setup(g, config)
-    # The groups hold sorted, distinct node ids, so masking them gives
-    # np.intersect1d's result without the np.unique calls it makes.
-    low_tr, high_tr = (nodes[np.isin(nodes, split.train)] for nodes in groups.groups)
+    ops, feats = _setup(g, config)
+    train_mask = np.zeros(g.num_nodes, dtype=bool)
+    train_mask[_indices(split.train, g.num_nodes, "split.train")] = True
+    low_tr, high_tr = (np.flatnonzero(train_mask & (ops.group == k)) for k in (0, 1))
 
     rng = np.random.default_rng(config.seed)
     params = init_params(config, g.feature_dim, g.num_classes, rng)
@@ -370,7 +354,7 @@ def train(
         reuse = not config.dropout_input and epoch + 1 < config.epochs
         with tape if reuse else contextlib.nullcontext():
             layer0 = forward_layer(feats, ops, params, 0, config.eps if fair else None, ctx0)
-        ctx0 = layer0.ctx if fair else None
+        ctx0 = layer0.ctx
         preds = np.argmax(_forward(g, params, config, ops, feats, layer0)[1].data, axis=1)
         tr_acc = accuracy(preds, g.labels, split.train)
         va_acc = accuracy(preds, g.labels, split.val) if split.val.size else tr_acc
@@ -398,7 +382,7 @@ def train(
 
 def predict(params: ModelParams, g: Graph, config: TrainConfig) -> np.ndarray:
     """Argmax class per node, dropout disabled; ties go to the lower class."""
-    _, ops, feats = _setup(g, config)
+    ops, feats = _setup(g, config)
     return np.argmax(_forward(g, params, config, ops, feats)[1].data, axis=1)
 
 

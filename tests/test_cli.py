@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from degfair.cli import ConfigError, main, parse_run_config
+from degfair.cli import ConfigError, format_report, main, parse_run_config
+from degfair.metrics import FairnessReport
 from degfair.training import PRESETS
 
 
@@ -175,6 +176,16 @@ def audit_fixture(tmp_path, preds):
     pred_path = tmp_path / "preds.txt"
     pred_path.write_text("\n".join(str(p) for p in preds) + "\n")
     return edges, labels, pred_path
+
+
+def test_report_table_writes_an_undefined_recall_as_nan():
+    rep = FairnessReport(accuracy=0.5, delta_dsp=0.25, delta_deo=0.125,
+                         per_class=np.array([[0.5, 0.25, 1.0, np.nan], [0.5, 0.75, -np.nan, 0.5]]),
+                         group_sizes=(2, 2), r_eval=1, fraction=0.25)
+    assert format_report(rep).split("recall_high\n")[1] == (
+        "    0   0.500000   0.250000   1.000000         nan\n"
+        "    1   0.500000   0.750000        nan    0.500000\n"
+    )
 
 
 def test_audit_perfect_predictions(tmp_path, capsys):
@@ -411,8 +422,12 @@ def _train(tmp_path, trained, *flags, eval_keys=(), train_keys=(), data_keys=(),
 
 
 def _train_text(tmp_path, text):
+    return _train_bytes(tmp_path, text.encode("utf-8"))
+
+
+def _train_bytes(tmp_path, data):
     path = tmp_path / "run.json"
-    path.write_text(text)
+    path.write_bytes(data)
     return ["train", "--config", str(path)]
 
 
@@ -425,6 +440,49 @@ def _train40(tmp_path):
 PATH3 = ("0\t1\n1\t2\n", "0\n1\n0\n", "0\n1\n0\n")
 GOOD8 = [0, 1, 0, 1, 0, 1, 0, 1]
 
+
+def _blocked(tmp_path, text=None):
+    """``tmp_path / "blocked"``: a file holding ``text``, or a directory when it is None."""
+    path = tmp_path / "blocked"
+    if text is None:
+        path.mkdir()
+    else:
+        path.write_text(text)
+    return str(path)
+
+
+def _swap(argv, flag, value):
+    """``argv`` with the value after ``flag`` replaced by ``value``."""
+    argv = list(argv)
+    argv[argv.index(flag) + 1] = value
+    return argv
+
+
+# Paths the CLI cannot use, each at ``_blocked``'s path, which the message
+# names: an input that is a directory or an edge file without edges (with
+# no --features / --labels to give the node count) is a data error; a
+# --config that is a directory or an --out that is a file is a config
+# error. Permission errors are not covered: the tests may run as root,
+# which can read and write any file.
+UNUSABLE_PATHS = [
+    pytest.param(lambda t, m: ["degree-stats", "--edges", _blocked(t, "")], 3,
+                 id="degree-stats-edges-empty-file"),
+    pytest.param(lambda t, m: ["degree-stats", "--edges", _blocked(t, "# no\n\n# edges\n")], 3,
+                 id="degree-stats-edges-comments-only"),
+    *[pytest.param(lambda t, m, flag=flag: _swap(["degree-stats", *_eval(m)[3:]], flag,
+                                                 _blocked(t)), 3,
+                   id=f"degree-stats-{flag[2:]}-directory")
+      for flag in ("--edges", "--features", "--labels")],
+    *[pytest.param(lambda t, m, flag=flag: _swap(_eval(m), flag, _blocked(t)), 3,
+                   id=f"eval-{flag[2:]}-directory")
+      for flag in ("--model", "--edges", "--features", "--labels")],
+    pytest.param(lambda t, m: _swap(_audit8(t, GOOD8), "--preds", _blocked(t)), 3,
+                 id="audit-preds-directory"),
+    pytest.param(lambda t, m: ["train", "--config", _blocked(t)], 2, id="train-config-directory"),
+    pytest.param(lambda t, m: _train(t, m, "--out", _blocked(t, "")), 2, id="train-out-file"),
+    pytest.param(lambda t, m: ["synth", "--out", _blocked(t, "")], 2, id="synth-out-file"),
+]
+
 EXIT_MATRIX = [
     # Data errors (exit 3): the files parse but no report can be built from them.
     pytest.param(lambda t, m: _audit(t, "", "", ""), 3, id="audit-empty-files"),
@@ -435,6 +493,7 @@ EXIT_MATRIX = [
     pytest.param(lambda t, m: _audit8(t, GOOD8, labels="00010010"), 3,
                  id="audit-no-class-in-both-groups"),
     pytest.param(lambda t, m: _train40(t), 3, id="train-no-class-in-both-groups"),
+    *UNUSABLE_PATHS,
     # Config errors (exit 2): flag or config values outside their range.
     pytest.param(lambda t, m: _audit8(t, GOOD8, "--fraction", "0.9"), 2,
                  id="audit-fraction-above-half"),
@@ -477,6 +536,7 @@ EXIT_MATRIX = [
     # Config errors (exit 2): the run-config file itself is malformed.
     pytest.param(lambda t, m: _train_text(t, '{"data": '), 2, id="train-invalid-json"),
     pytest.param(lambda t, m: _train_text(t, "[]"), 2, id="train-config-not-object"),
+    pytest.param(lambda t, m: _train_bytes(t, b"\xff\xfe{}"), 2, id="train-config-not-utf8"),
     pytest.param(lambda t, m: _train_text(t, '{"seed": 1}'), 2, id="train-no-data-section"),
     pytest.param(lambda t, m: _train_text(t, json.dumps({"data": {"edges": "e.tsv"}})), 2,
                  id="train-data-key-missing"),
@@ -496,6 +556,12 @@ def test_bad_input_exits_with_documented_code(tmp_path, trained, capsys, make_ar
     assert "Traceback" not in captured.err
     assert captured.out == ""
     assert not (tmp_path / "out").exists()  # train rejects before any run
+
+
+@pytest.mark.parametrize("make_argv,code", UNUSABLE_PATHS)
+def test_unusable_path_is_named(tmp_path, trained, capsys, make_argv, code):
+    main(make_argv(tmp_path, trained))
+    assert f"error: {tmp_path / 'blocked'}: " in capsys.readouterr().err
 
 
 def test_train_divergence_exits_4(tmp_path, capsys):

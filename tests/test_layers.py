@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from degfair import layers
-from degfair.autodiff import Tape, Tensor, film_debias, sparse_matmul
+from degfair.autodiff import Tape, Tensor, affine, film_debias, sparse_matmul
 from degfair.graphs import build_graph, partition_contrast, synth_generate
 from degfair.layers import (
     GatHead,
@@ -156,14 +156,14 @@ def test_context_path_mean():
 
 def test_film_zero_params():
     enc = Tensor(np.ones((3, 4)))
-    gamma, beta = lin(np.zeros((4, 2)))(enc), lin(np.zeros((4, 2)))(enc)
+    gamma, beta = affine(enc, *lin(np.zeros((4, 2)))), affine(enc, *lin(np.zeros((4, 2))))
     assert np.allclose(gamma.data, 0.0)
     assert np.allclose(beta.data, 0.0)
 
 
 def test_film_identity_map():
     enc = Tensor(np.array([[0.0, 1.0, 0.0, 1.0]]))
-    gamma = lin(np.eye(4))(enc)
+    gamma = affine(enc, *lin(np.eye(4)))
     assert np.allclose(gamma.data, [[0.0, 1.0, 0.0, 1.0]])
 
 
@@ -171,7 +171,7 @@ def test_film_equal_degrees_equal_rows():
     enc_rows = degree_encoding_matrix(np.array([3.0, 7.0, 3.0]), 4)
     rng = np.random.default_rng(0)
     scale_net, shift_net = lin(rng.standard_normal((4, 2))), lin(rng.standard_normal((4, 2)))
-    gamma, beta = scale_net(Tensor(enc_rows)), shift_net(Tensor(enc_rows))
+    gamma, beta = affine(Tensor(enc_rows), *scale_net), affine(Tensor(enc_rows), *shift_net)
     assert np.array_equal(gamma.data[0], gamma.data[2])
     assert np.array_equal(beta.data[0], beta.data[2])
 
@@ -232,7 +232,7 @@ def test_gcn_isolated_node_is_self_transform(pre_activation):
     h = Tensor(np.array([[1.0, 2.0], [0.0, 0.0], [3.0, -1.0]]))
     w = Tensor(np.array([[2.0, 0.0], [0.0, 1.0]]))
     b = Tensor(np.zeros((1, 2)))
-    out = pre_activation(h, ops, {"w": w, "b": b})
+    out = pre_activation(h, ops, {"w": w, "b": b}).h
     # Row 2 of the normalized operator is just the self-loop with weight 1.
     assert np.allclose(out.data[2], [6.0, -1.0])
 
@@ -253,7 +253,7 @@ def test_sage_zero_neighbor_weights(pre_activation):
     w_self = Tensor(np.array([[1.0, 1.0], [0.0, 1.0]]))
     w_neigh = Tensor(np.zeros((2, 2)))
     b = Tensor(np.zeros((1, 2)))
-    out = pre_activation(h, ops, {"w_self": w_self, "w_neigh": w_neigh, "b": b})
+    out = pre_activation(h, ops, {"w_self": w_self, "w_neigh": w_neigh, "b": b}).h
     assert np.allclose(out.data, h.data @ w_self.data)
 
 
@@ -324,7 +324,7 @@ def test_gat_uniform_attention_on_identical_embeddings(pre_activation):
         att_self=Tensor(rng.standard_normal((3, 1))),
         att_nbr=Tensor(rng.standard_normal((3, 1))),
     )
-    out = pre_activation(h, ops, {"heads": [head], "b": Tensor(np.zeros((1, 3)))})
+    out = pre_activation(h, ops, {"heads": [head], "b": Tensor(np.zeros((1, 3)))}).h
     # Identical projections -> uniform attention -> output equals any z row.
     z = h.data @ head.w.data
     assert np.allclose(out.data, z, atol=1e-12)
@@ -346,7 +346,7 @@ def test_gat_two_heads_match_dense_attention_oracle(pre_activation):
         for _ in range(2)
     ]
     b = Tensor(rng.standard_normal((1, 4)))
-    out = pre_activation(h, ops, {"heads": heads, "b": b})
+    out = pre_activation(h, ops, {"heads": heads, "b": b}).h
 
     closed = np.eye(n, dtype=bool)
     for u, v in edges:
@@ -469,7 +469,7 @@ def test_fair_layer_eps_zero_is_plain_base(monkeypatch, pre_activation):
     # can reach the output bits.
     monkeypatch.setattr(layers, "film_debias", must_not_run)
     entry = pre_activation(h, ops, layer, eps=0.0)
-    base = pre_activation(h, ops, layer)
+    base = pre_activation(h, ops, layer).h
     assert np.array_equal(entry.h.data, base.data)
 
 
@@ -477,7 +477,7 @@ def test_fair_layer_all_low_selects_low_context(pre_activation):
     g, ops, layer = path3_layer(eps=1.0, w_low=2 * np.eye(2), w_high=7 * np.eye(2))
     h = Tensor(g.features)
     entry = pre_activation(h, ops, layer, eps=1.0)
-    base = pre_activation(h, ops, layer)
+    base = pre_activation(h, ops, layer).h
     # All nodes sit in the low group, so only debias_low enters the output.
     low_ctx, high_ctx = (entry.ctx.data @ net.w.data + net.b.data for net in entry.debias)
     assert np.array_equal(ops.group, np.zeros(3, dtype=np.int64))
@@ -545,8 +545,7 @@ def test_hidden_layers_end_in_relu_and_the_last_in_softmax(kind, eps):
     assert len(params.layers) == 2
     h = Tensor(g.features)
     for i in range(2):
-        out = forward_layer(h, ops, params, i, eps)
-        h = out if eps is None else out.h
+        h = forward_layer(h, ops, params, i, eps).h
         if i == 0:
             assert h.data.min() == 0.0  # no negative entries, some exact zeros
     assert np.all(np.abs(h.data.sum(axis=1) - 1.0) <= 1e-12)

@@ -303,6 +303,16 @@ def test_group_terms_read_each_groups_training_nodes(monkeypatch):
             assert want.size and got.dtype == want.dtype and np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("bad", [[0, 60], [-1, 0], [0.0, 1.0]],
+                         ids=["past-end", "negative", "float"])
+def test_train_rejects_training_ids_outside_the_index_rule(bad):
+    # The training ids follow the objective's index rule: integers in [0, n).
+    g, split = small_setup(seed=3, n=60)
+    split = dataclasses.replace(split, train=np.array(bad))
+    with pytest.raises(ValueError, match="must (lie in|be integers)"):
+        train(g, split, quick_config(epochs=1, seed=3))
+
+
 def test_zero_coefficient_terms_are_reported_but_not_weighted():
     g, split = small_setup(seed=2)
     cfg = quick_config(mu=0.0, lam=0.0, epochs=4, patience=4, seed=2)
