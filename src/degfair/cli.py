@@ -93,11 +93,17 @@ def _check_fraction(fraction: float, name: str) -> None:
         raise ConfigError(f"{name} must be in (0, 0.5], got {fraction}")
 
 
-def _make_out_dir(path: str) -> None:
+def _make_out_dir(path: str, names) -> list[str]:
+    """Create ``path``; return ``names`` in it, each checked to be absent or a regular file."""
     try:
         os.makedirs(path, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"{path}: cannot create the output directory: {exc.strerror}") from None
+    paths = [os.path.join(path, name) for name in names]
+    for out in paths:
+        if os.path.lexists(out) and not os.path.isfile(out):
+            raise ConfigError(f"{out}: the output path exists and is not a regular file")
+    return paths
 
 
 def parse_run_config(path: str, preset_override: str | None = None) -> dict:
@@ -241,7 +247,8 @@ def cmd_train(args) -> int:
         build_report(
             g.labels, g.labels, split.test, degrees, ev["fraction"], num_classes=g.num_classes
         )
-    _make_out_dir(out_dir)
+    _make_out_dir(out_dir, [f"{kind}_seed{seed}.txt" for seed in seeds
+                            for kind in ("model", "report")] + ["aggregate.txt"])
     reports = []
     for seed, split in zip(seeds, splits):
         run_config = dataclasses.replace(config, seed=seed)
@@ -317,13 +324,7 @@ def cmd_synth(args) -> int:
                            seed=args.seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    _make_out_dir(args.out)
-    save_graph_files(
-        g,
-        os.path.join(args.out, "edges.tsv"),
-        os.path.join(args.out, "features.csv"),
-        os.path.join(args.out, "labels.txt"),
-    )
+    save_graph_files(g, *_make_out_dir(args.out, ("edges.tsv", "features.csv", "labels.txt")))
     sys.stdout.write(
         f"nodes={g.num_nodes}\nedges={g.num_edges}\nfeat_dim={g.feature_dim}\n"
         f"classes={g.num_classes}\nout={args.out}\n"

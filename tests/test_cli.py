@@ -451,6 +451,12 @@ def _blocked(tmp_path, text=None):
     return str(path)
 
 
+def _blocked_out(tmp_path, name):
+    """``tmp_path / "blocked"`` as an output directory in which ``name`` is a directory."""
+    (tmp_path / "blocked" / name).mkdir(parents=True)
+    return str(tmp_path / "blocked")
+
+
 def _swap(argv, flag, value):
     """``argv`` with the value after ``flag`` replaced by ``value``."""
     argv = list(argv)
@@ -483,6 +489,16 @@ UNUSABLE_PATHS = [
     pytest.param(lambda t, m: ["synth", "--out", _blocked(t, "")], 2, id="synth-out-file"),
 ]
 
+# An output name that is a directory in --out is a config error, found before
+# any training (the trained fixture's config runs one seed, 7).
+OUTPUT_NAME_DIRECTORIES = [
+    *[pytest.param(lambda t, m, name=name: _train(t, m, "--out", _blocked_out(t, name)), 2,
+                   id=f"train-out-{name}-directory")
+      for name in ("model_seed7.txt", "report_seed7.txt", "aggregate.txt")],
+    pytest.param(lambda t, m: ["synth", "--out", _blocked_out(t, "labels.txt")], 2,
+                 id="synth-out-labels.txt-directory"),
+]
+
 EXIT_MATRIX = [
     # Data errors (exit 3): the files parse but no report can be built from them.
     pytest.param(lambda t, m: _audit(t, "", "", ""), 3, id="audit-empty-files"),
@@ -494,6 +510,7 @@ EXIT_MATRIX = [
                  id="audit-no-class-in-both-groups"),
     pytest.param(lambda t, m: _train40(t), 3, id="train-no-class-in-both-groups"),
     *UNUSABLE_PATHS,
+    *OUTPUT_NAME_DIRECTORIES,
     # Config errors (exit 2): flag or config values outside their range.
     pytest.param(lambda t, m: _audit8(t, GOOD8, "--fraction", "0.9"), 2,
                  id="audit-fraction-above-half"),
@@ -562,6 +579,13 @@ def test_bad_input_exits_with_documented_code(tmp_path, trained, capsys, make_ar
 def test_unusable_path_is_named(tmp_path, trained, capsys, make_argv, code):
     main(make_argv(tmp_path, trained))
     assert f"error: {tmp_path / 'blocked'}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("make_argv,code", OUTPUT_NAME_DIRECTORIES)
+def test_output_name_that_is_a_directory_is_named(tmp_path, trained, capsys, make_argv, code):
+    main(make_argv(tmp_path, trained))
+    named = next(p for p in (tmp_path / "blocked").iterdir())
+    assert f"config error: {named}: the output path exists" in capsys.readouterr().err
 
 
 def test_train_divergence_exits_4(tmp_path, capsys):

@@ -10,7 +10,9 @@ terms and the same parameter gradients, up to summation order.
 Two things are not invariant, by design, and are not asserted on:
 fairness reports, because ``partition_top_bottom`` breaks degree ties by
 node id, and dropout at a rate above 0, which draws its masks in row order.
-So the test runs at dropout 0 and checks probabilities, terms and gradients.
+So the tests run at dropout 0 and check probabilities, terms and gradients
+and, since ``init_params`` draws nothing per node, the parameters and the
+selected epoch that ``train()`` returns.
 """
 
 import numpy as np
@@ -19,7 +21,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from degfair.autodiff import Tape
-from degfair.graphs import build_graph, partition_contrast
+from degfair.graphs import NodeSplit, build_graph, partition_contrast, split_nodes, synth_generate
 from degfair.layers import build_operators, model_forward
 from degfair.objective import (
     classification_loss,
@@ -29,7 +31,7 @@ from degfair.objective import (
     total_loss,
     weight_regularizer,
 )
-from degfair.training import TrainConfig, init_params
+from degfair.training import TrainConfig, init_params, train
 
 TERMS = ("l1", "l2", "l3", "l4", "omega_reg")
 
@@ -114,3 +116,22 @@ def test_relabelled_graph_relabels_probabilities_and_keeps_terms_and_grads(kind,
         assert _close(a, b, 1e-12, 1e-14), (name, a, b)
     for name, g in grads.items():
         assert _close(g, grads_p[name], 1e-10, 1e-14), name
+
+
+@pytest.mark.parametrize("kind,heads", [("gcn", 1), ("sage", 1), ("gat", 1), ("gat", 2)],
+                         ids=["gcn", "sage", "gat1", "gat2"])
+def test_training_on_a_relabelled_graph_gives_the_same_parameters_and_epoch(kind, heads):
+    g = synth_generate(60, 2, 0.9, 4, seed=3)
+    edges = np.column_stack([np.repeat(np.arange(g.num_nodes), g.degrees), g.csr_neighbors])
+    split = split_nodes(g.num_nodes, (0.6, 0.2, 0.2), seed=0)
+    perm = np.random.default_rng(4).permutation(g.num_nodes)
+    inv = np.argsort(perm)
+    g_p = build_graph(perm[edges], g.features[inv], g.labels[inv], num_classes=g.num_classes)
+    split_p = NodeSplit(*(np.sort(perm[s]) for s in (split.train, split.val, split.test)))
+    config = TrainConfig(base_gnn=kind, gat_heads=heads, hidden_dim=8, eps=0.5, r_context=2,
+                         mu=0.7, lam=0.3, dropout=0.0, epochs=5, patience=5)
+    params, history = train(g, split, config)
+    params_p, history_p = train(g_p, split_p, config)
+    assert history.best_epoch == history_p.best_epoch
+    for (name, t), (_, t_p) in zip(params.named_tensors(), params_p.named_tensors()):
+        assert _close(t.data, t_p.data, 1e-9, 0.0), name

@@ -13,7 +13,6 @@ from degfair.layers import (
     LayerTraceEntry,
     Linear,
     build_operators,
-    degree_encoding_matrix,
     model_forward,
 )
 from degfair.objective import (
@@ -212,23 +211,6 @@ def test_debias_constraint_crosses_groups():
     assert loss.item() == pytest.approx(1.0 + 9.0, abs=1e-12)
 
 
-def test_debias_constraint_dense_oracle():
-    # Nonzero context, modulation and biases; nodes 1 and 3 are not training
-    # nodes, so they add nothing whatever their contexts are.
-    # Nodes 0 and 2 share a degree row.
-    e = random_entry(np.random.default_rng(8), None, n=4, d_in=5, d=3, unique=2)
-    trace = make_trace([e, e])
-    low_tr, high_tr = np.array([0]), np.array([2])
-    low_net, high_net = e.debias
-    expected = 0.0
-    for v, net in ((0, high_net), (2, low_net)):
-        d = trace.degree_inverse[v]
-        raw = e.ctx.data[v] @ net.w.data + net.b.data[0]
-        expected += np.sum(((e.scale_u.data[d] + 1.0) * raw + e.shift_u.data[d]) ** 2)
-    loss = debias_constraint(trace, low_tr, high_tr)
-    assert loss.item() == pytest.approx(2.0 * expected, rel=1e-12)
-
-
 # ------------------------------------------------------------ film constraint
 
 
@@ -245,47 +227,6 @@ def test_film_constraint_hand_value():
 def test_film_constraint_empty_train():
     trace = make_trace([entry(scale=[[1.0, 1.0]], shift=[[1.0, 1.0]], n=1)])
     assert film_constraint(trace, np.array([], dtype=int)).item() == 0.0
-
-
-def test_film_constraint_dense_oracle():
-    # Per-node rows: every training node adds the squared norms of its own
-    # degree's rows, so a degree row shared by two training nodes counts twice
-    # and a non-training node's row counts not at all.
-    rng = np.random.default_rng(11)
-    entries = [random_entry(rng, None, n=7, unique=3) for _ in range(2)]
-    trace = make_trace(entries)
-    train_idx = np.array([0, 2, 3, 5])
-    expected = 0.0
-    for e in entries:
-        scale = e.scale_u.data[trace.degree_inverse]  # n x d, one row per node
-        shift = e.shift_u.data[trace.degree_inverse]
-        for v in train_idx:
-            expected += np.sum(scale[v] ** 2) + np.sum(shift[v] ** 2)
-    assert film_constraint(trace, train_idx).item() == pytest.approx(expected, rel=1e-12)
-
-
-def test_film_constraint_model_trace_dense_oracle():
-    # On a real forward, the trace's unique-degree rows against the FiLM
-    # nets applied to every node's own degree encoding.
-    g = synth_generate(30, 2, 0.9, 4, seed=4)
-    config = TrainConfig(base_gnn="gcn", hidden_dim=3, eps=0.5, dropout=0.0)
-    groups = partition_contrast(g.degrees.astype(float), config.resolve_threshold(g))
-    ops = build_operators(g, 1, groups, "gcn")
-    params = init_params(config, g.feature_dim, g.num_classes, np.random.default_rng(0))
-    rng = np.random.default_rng(5)
-    for layer in params.layers:
-        for net in (layer.film_scale, layer.film_shift):
-            net.w.data = rng.standard_normal(net.w.shape)
-            net.b.data = rng.standard_normal(net.b.shape)
-    trace = model_forward(g, params, ops, eps=config.eps)
-    train_idx = np.arange(0, g.num_nodes, 2)
-    expected = 0.0
-    for layer in params.layers:
-        enc = degree_encoding_matrix(g.degrees.astype(float), layer.film_scale.w.shape[0])
-        for net in (layer.film_scale, layer.film_shift):
-            rows = enc @ net.w.data + net.b.data
-            expected += np.sum(rows[train_idx] ** 2)
-    assert film_constraint(trace, train_idx).item() == pytest.approx(expected, rel=1e-12)
 
 
 # -------------------------------------------------------- weight regularizer
