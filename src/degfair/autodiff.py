@@ -374,6 +374,9 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     )
 
 
+_FILM_BLOCK = 1 << 15  # floats per block of film_debias' modulation (256 KB)
+
+
 def film_debias(
     ctx: Tensor,
     route: np.ndarray,
@@ -388,9 +391,12 @@ def film_debias(
     ``(w, b) = nets[route[i]]`` and ``d = degree_inverse[i]``. ``nets`` is a
     sequence of ``(w, b)`` pairs with one output width. A row routed to -1
     is left out: the output holds the routed rows only, in row order. Each
-    net runs on its own rows only. ``scale_u`` / ``shift_u`` hold one row
-    per unique degree and are never expanded to a tracked per-row tensor:
-    their adjoints reduce straight onto the unique-degree rows.
+    net runs on its own rows only, in one GEMM that writes straight into
+    that net's slice of one net-major buffer. The modulation then reads the
+    buffer back in row order, one block of rows at a time, so it forms no
+    per-row copy of the scale and shift rows. ``scale_u`` / ``shift_u`` hold
+    one row per unique degree and are never expanded to a tracked per-row
+    tensor: their adjoints reduce straight onto the unique-degree rows.
     """
     ctx, scale_u, shift_u = as_tensor(ctx), as_tensor(scale_u), as_tensor(shift_u)
     nets = [(as_tensor(w), as_tensor(b)) for w, b in nets]
@@ -412,17 +418,26 @@ def film_debias(
     routed = np.flatnonzero(route >= 0)
     route, inv = route[routed], inv[routed]
     # parts[k]: net k's output rows; sources[k]: the ctx rows they read.
+    # raw holds the nets' rows net after net, and net_row[i] is where output
+    # row i sits in it.
     parts = [np.flatnonzero(route == k) for k in range(len(nets))]
     sources = [routed[rows] for rows in parts]
-    raw = np.empty((routed.size, width))  # every output row belongs to one part
-    for rows, src, (w, b) in zip(parts, sources, nets):
-        part = ctx.data[src] @ w.data
+    net_row = np.empty(routed.size, dtype=np.int64)
+    net_row[np.concatenate(parts)] = np.arange(routed.size)
+    raw = np.empty((routed.size, width))
+    lo = 0
+    for src, (w, b) in zip(sources, nets):
+        part = raw[lo : lo + src.size]
+        np.matmul(ctx.data[src], w.data, out=part)
         part += b.data
-        raw[rows] = part
-    out = scale_u.data[inv]
-    out += 1.0
-    out *= raw
-    out += shift_u.data[inv]
+        lo += src.size
+    scale1 = scale_u.data + 1.0
+    out = np.empty((routed.size, width))
+    step = max(1, _FILM_BLOCK // max(1, width))
+    for lo in range(0, routed.size, step):
+        blk = slice(lo, lo + step)
+        np.multiply(scale1[inv[blk]], raw[net_row[blk]], out=out[blk])
+        out[blk] += shift_u.data[inv[blk]]
 
     # g * (scale + 1), split by net, is formed once and shared by the
     # adjoints of ctx and of every net; the degree-row reduction is built
@@ -449,11 +464,15 @@ def film_debias(
             gx[src] = gk @ w.data.T
         return gx
 
+    def vjp_scale(g):
+        in_order = raw[net_row]  # g * raw in row order, in one n x d array
+        return degree_sum(np.multiply(g, in_order, out=in_order))
+
     pairs = [(ctx, vjp_ctx)]
     for k, (src, (w, b)) in enumerate(zip(sources, nets)):
         pairs.append((w, lambda g, k=k, src=src: ctx.data[src].T @ net_grads(g)[k]))
         pairs.append((b, lambda g, k=k: net_grads(g)[k].sum(axis=0, keepdims=True)))
-    pairs.append((scale_u, lambda g: degree_sum(g * raw)))
+    pairs.append((scale_u, vjp_scale))
     pairs.append((shift_u, degree_sum))
     return _record(Tensor(out), pairs)
 

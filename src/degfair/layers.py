@@ -367,6 +367,7 @@ def forward_layer(
         terms.append(film_debias(ctx, ops.group, debias, scale_u, shift_u, ops.degree_inverse))
         coeffs.append(eps)
     pre = weighted_sum(terms, coeffs)
+    del terms  # the aggregation and context outputs go before the activation allocates
     out = softmax_rows(pre) if i == len(params.layers) - 1 else relu(pre)
     if eps is None:
         return LayerTraceEntry(out)

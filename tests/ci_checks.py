@@ -7,6 +7,7 @@ Run from the repository root::
     python tests/ci_checks.py grid-summary BASE.json HEAD.json BASE_SHA BASE_SRC HEAD_SRC
     PYTHONPATH=src python tests/ci_checks.py live-mb
     PYTHONPATH=src python tests/ci_checks.py tape-entries
+    PYTHONPATH=src python tests/ci_checks.py predict-peak-mb
 
 ``known-red`` fails on any failed or errored test in a JUnit report other
 than the known red (criterion 6), and when the report is missing.
@@ -19,8 +20,11 @@ of the two ``src`` trees. ``live-mb`` prints the MB that tracemalloc reads
 live at the first ``Tape.backward`` of one degfair GCN epoch (n=8000,
 hidden 64), and ``tape-entries`` the tape entries that one degfair GCN
 epoch records (n=300, hidden 8, the shape of the tape-entry test in
-``tests/test_objective.py``); both read the ``degfair`` on the path and
-print "not measured" rather than fail. pytest does not collect this file.
+``tests/test_objective.py``). ``predict-peak-mb`` prints the MB that
+tracemalloc reads at the peak of one ``predict`` (an untrained degfair GCN,
+``r_context`` 2, hidden 32, on ``synth_generate(20000, 2, 0.9, 32, seed=0)``).
+All three read the ``degfair`` on the path and print "not measured" rather
+than fail. pytest does not collect this file.
 """
 
 import json
@@ -130,8 +134,28 @@ def tape_entries():
     return 0
 
 
+def predict_peak_mb():
+    import tracemalloc
+
+    try:
+        import numpy as np
+
+        from degfair.graphs import synth_generate
+        from degfair.training import TrainConfig, init_params, predict
+
+        g = synth_generate(20000, 2, 0.9, 32, seed=0)
+        config = TrainConfig(base_gnn="gcn", model="degfair", hidden_dim=32, r_context=2)
+        params = init_params(config, g.feature_dim, g.num_classes, np.random.default_rng(0))
+        tracemalloc.start()
+        predict(params, g, config)
+        print(f"{tracemalloc.get_traced_memory()[1] / 1e6:.1f} MB")
+    except Exception as exc:
+        print(f"not measured ({type(exc).__name__}: {exc})")
+    return 0
+
+
 COMMANDS = {"known-red": known_red, "bench-line": bench_line, "grid-summary": grid_summary,
-            "live-mb": live_mb, "tape-entries": tape_entries}
+            "live-mb": live_mb, "tape-entries": tape_entries, "predict-peak-mb": predict_peak_mb}
 
 if __name__ == "__main__":
     sys.exit(COMMANDS[sys.argv[1]](*sys.argv[2:]))

@@ -345,9 +345,24 @@ def same_bits(a, b):
 SPECIAL = (0.0, -0.0, np.inf, -np.inf, np.nan, -1.0, 1.5, -2.25)
 
 
+def several_blocks_case(empty_net):
+    """2000 rows at width 64, 1340 of them routed: 3 modulation blocks of 512 rows.
+
+    A third of the rows go to -1, 7 degree rows repeat across blocks and
+    nets, and ``empty_net``, when given, gets no rows.
+    """
+    rng = np.random.default_rng(17)
+    route = rng.integers(-1, 2, 2000)
+    if empty_net is not None:
+        route[route == empty_net] = 1 - empty_net
+    return 2000, 8, 64, 2, 7, route, rng.integers(0, 7, 2000), 17
+
+
 @settings(max_examples=80, deadline=None)
 @given(film_debias_cases())
 @example(case=(5, 2, 3, 2, 2, np.array([1, -1, 0, -1, 1]), np.array([0, 1, 1, 0, 0]), 9))
+@example(case=several_blocks_case(None))
+@example(case=several_blocks_case(1))
 def test_film_debias_property_is_bit_identical_to_its_array_formula(case):
     # Scale rows of -1 give a zero FiLM factor; special values in the scale
     # and shift rows reach the output's signs, infinities and NaNs.
@@ -368,6 +383,29 @@ def test_film_debias_property_is_bit_identical_to_its_array_formula(case):
     assert same_bits(out.data, want)
     leaves = [x] + [t for net in nets for t in net] + [scale_u, shift_u]
     assert all(same_bits(t.grad, grad) for t, grad in zip(leaves, grads))
+
+
+def test_untaped_film_debias_peak_stays_below_two_and_a_half_outputs():
+    # The GEMMs write into one net-major buffer and the modulation works a
+    # block at a time, so beyond its inputs the op holds that buffer, its
+    # output, one net's gathered ctx rows and index arrays: about 2.3 n x
+    # width arrays.
+    rng = np.random.default_rng(5)
+    n, width, unique = 20000, 32, 50
+    x = Tensor(rng.standard_normal((n, width)))
+    nets = [(Tensor(rng.standard_normal((width, width))), Tensor(rng.standard_normal((1, width))))
+            for _ in range(2)]
+    scale_u, shift_u = (Tensor(rng.standard_normal((unique, width))) for _ in range(2))
+    route, inv = rng.integers(0, 2, n), rng.integers(0, unique, n)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = ad.film_debias(x, route, nets, scale_u, shift_u, inv)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (n, width)
+    assert peak < 2.5 * n * width * 8
 
 
 @st.composite

@@ -444,8 +444,8 @@ def test_fair_layer_hand_oracle_on_path(pre_activation):
 # -------------------------------------------------------------- model forward
 
 
-def synth_setup(kind, seed=0, n=16, hidden=4, heads=2):
-    g = synth_generate(n, 2, 0.9, 5, seed=seed)
+def synth_setup(kind, seed=0, n=16, hidden=4, heads=2, feat_dim=5):
+    g = synth_generate(n, 2, 0.9, feat_dim, seed=seed)
     config = TrainConfig(base_gnn=kind, hidden_dim=hidden, eps=0.7, gat_heads=heads,
                          dropout=0.0)
     groups = partition_contrast(g.degrees.astype(float), config.resolve_threshold(g))
@@ -453,6 +453,27 @@ def synth_setup(kind, seed=0, n=16, hidden=4, heads=2):
     params = init_params(config, g.feature_dim, g.num_classes,
                          np.random.default_rng(seed))
     return g, config, ops, params
+
+
+def test_untaped_fair_layer_peak_stays_below_four_and_a_half_activations():
+    # Layer 0 of a degfair GCN at width 32 in and out, untaped, at eps 1 (the
+    # context term is added unscaled). Beyond its input the layer holds the
+    # context, the aggregation term, the FiLM context term and its net-major
+    # buffer, then the pre-activation; the two terms go once they are
+    # summed, before the activation allocates, so the peak is about 4.3
+    # n x d arrays.
+    n, d = 20000, 32
+    g, config, ops, params = synth_setup("gcn", n=n, hidden=d, feat_dim=d)
+    h = Tensor(g.features)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        entry = forward_layer(h, ops, params, 0, 1.0)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert entry.h.shape == (n, d)
+    assert peak < 4.5 * n * d * 8
 
 
 @pytest.mark.parametrize("kind", ["gcn", "sage", "gat"])
