@@ -258,13 +258,27 @@ def sq_norm(*tensors: Tensor, row_weights=None) -> Tensor:
                    [(t, lambda g, w=w: (2.0 * g[0, 0]) * w) for t, w in zip(tensors, weighted)])
 
 
+_ROW_BLOCK = 1 << 15  # floats per block of scaled or modulated rows (256 KB)
+
+
+def _add_scaled(total: np.ndarray, x, c: float) -> None:
+    """``total += x * c``; with ``c`` not 1, a block of ``x``'s rows at a time."""
+    if c == 1.0 or x.shape[0] == 1:
+        total += x if c == 1.0 else x * c
+        return
+    step = max(1, _ROW_BLOCK // max(1, x.shape[1]))
+    for lo in range(0, x.shape[0], step):
+        total[lo : lo + step] += x[lo : lo + step] * c
+
+
 def weighted_sum(terms, coeffs) -> Tensor:
     """``coeffs[0] * terms[0] + coeffs[1] * terms[1] + ...``, summed in order.
 
     Every term has the first term's shape or is a 1xd bias row, added to
     every row. A term with coefficient 1 is added unscaled and its adjoint
-    is ``g`` itself; another gets ``g * c``. A bias row gets the column sum
-    of its scaled ``g``.
+    is ``g`` itself; another is scaled a block of rows at a time as it is
+    added, so it forms no full-size scaled copy, and its adjoint is
+    ``g * c``. A bias row gets the column sum of its scaled ``g``.
     """
     terms = [as_tensor(t) for t in terms]
     coeffs = [float(c) for c in coeffs]
@@ -273,10 +287,17 @@ def weighted_sum(terms, coeffs) -> Tensor:
     shape = terms[0].shape
     if any(t.shape not in (shape, (1, shape[1])) for t in terms):
         raise ValueError(f"weighted_sum terms differ in shape: {[t.shape for t in terms]}")
-    scaled = (t.data if c == 1.0 else t.data * c for t, c in zip(terms, coeffs))
-    total = next(scaled) + next(scaled, 0.0)
-    for part in scaled:
-        total += part
+    # The trailing (0.0, 1.0) gives a lone term a second one: it is summed
+    # with 0.0 into a fresh array, as the first two terms are summed.
+    pairs = [(t.data, c) for t, c in zip(terms, coeffs)] + [(0.0, 1.0)]
+    (x0, c0), (x1, c1) = pairs[:2]
+    if c0 == c1 == 1.0:
+        total = x0 + x1
+    else:
+        total = x0 * c0 if c0 != 1.0 else x0.copy()
+        _add_scaled(total, x1, c1)
+    for x, c in pairs[2:-1]:
+        _add_scaled(total, x, c)
 
     def vjp(t, c):
         scale = (lambda g: g) if c == 1.0 else (lambda g: g * c)
@@ -374,37 +395,42 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     )
 
 
-_FILM_BLOCK = 1 << 15  # floats per block of film_debias' modulation (256 KB)
-
-
 def film_debias(
-    ctx: Tensor,
+    x: Tensor,
     route: np.ndarray,
     nets,
     scale_u: Tensor,
     shift_u: Tensor,
     degree_inverse: np.ndarray,
+    op: FixedSparse | None = None,
 ) -> Tensor:
     """Routed fully connected layers under degree-conditioned FiLM, in one op.
 
     Row i is ``(scale_u[d] + 1) * (ctx[i] @ w + b) + shift_u[d]``, where
     ``(w, b) = nets[route[i]]`` and ``d = degree_inverse[i]``. ``nets`` is a
     sequence of ``(w, b)`` pairs with one output width. A row routed to -1
-    is left out: the output holds the routed rows only, in row order. Each
-    net runs on its own rows only, in one GEMM that writes straight into
-    that net's slice of one net-major buffer. The modulation then reads the
-    buffer back in row order, one block of rows at a time, so it forms no
-    per-row copy of the scale and shift rows. ``scale_u`` / ``shift_u`` hold
-    one row per unique degree and are never expanded to a tracked per-row
-    tensor: their adjoints reduce straight onto the unique-degree rows.
+    is left out: the output holds the routed rows only, in row order.
+    Without ``op``, ``ctx`` is ``x`` and each net runs on its own rows only,
+    in one GEMM that writes straight into that net's slice of one net-major
+    buffer. With ``op``, ``ctx`` is ``op.fwd @ x``, projected before the
+    mean: one ``op.fwd @ (x @ [w_0 | w_1 | ...])`` at the nets' joint width,
+    of which each routed row reads its own net's columns into that buffer;
+    the adjoints of ``x`` and every ``w`` share one ``op.fwd.T`` product.
+    The modulation reads the buffer back in row order, one block of rows at
+    a time, so it forms no per-row copy of the scale and shift rows.
+    ``scale_u`` / ``shift_u`` hold one row per unique degree and are never
+    expanded to a tracked per-row tensor: their adjoints reduce straight
+    onto the unique-degree rows.
     """
-    ctx, scale_u, shift_u = as_tensor(ctx), as_tensor(scale_u), as_tensor(shift_u)
+    x, scale_u, shift_u = as_tensor(x), as_tensor(scale_u), as_tensor(shift_u)
     nets = [(as_tensor(w), as_tensor(b)) for w, b in nets]
-    n, width = ctx.shape[0], nets[0][0].shape[1]
+    if op is not None and op.fwd.shape[1] != x.shape[0]:
+        raise ValueError(f"film_debias operator shape mismatch: {op.fwd.shape} @ {x.shape}")
+    n, width = (x.shape[0] if op is None else op.fwd.shape[0]), nets[0][0].shape[1]
     for w, b in nets:
-        if w.shape != (ctx.shape[1], width) or b.shape != (1, width):
+        if w.shape != (x.shape[1], width) or b.shape != (1, width):
             raise ValueError(
-                f"film_debias shape mismatch: {ctx.shape} @ {w.shape} + {b.shape}"
+                f"film_debias shape mismatch: {x.shape} @ {w.shape} + {b.shape}"
             )
     if scale_u.shape != shift_u.shape or scale_u.shape[1] != width:
         raise ValueError(
@@ -419,30 +445,39 @@ def film_debias(
     route, inv = route[routed], inv[routed]
     # parts[k]: net k's output rows; sources[k]: the ctx rows they read.
     # raw holds the nets' rows net after net, and net_row[i] is where output
-    # row i sits in it.
+    # row i sits in it. cols[k]: net k's columns of the joint width.
     parts = [np.flatnonzero(route == k) for k in range(len(nets))]
     sources = [routed[rows] for rows in parts]
     net_row = np.empty(routed.size, dtype=np.int64)
     net_row[np.concatenate(parts)] = np.arange(routed.size)
+    cols = [slice(k * width, (k + 1) * width) for k in range(len(nets))]
+    if op is not None:
+        w_all = np.hstack([w.data for w, _ in nets])
+        projected = op.fwd @ (x.data @ w_all)
     raw = np.empty((routed.size, width))
     lo = 0
-    for src, (w, b) in zip(sources, nets):
+    for src, col, (w, b) in zip(sources, cols, nets):
         part = raw[lo : lo + src.size]
-        np.matmul(ctx.data[src], w.data, out=part)
-        part += b.data
+        if op is None:
+            np.matmul(x.data[src], w.data, out=part)
+            part += b.data
+        else:
+            np.add(projected[src, col], b.data, out=part)
         lo += src.size
     scale1 = scale_u.data + 1.0
     out = np.empty((routed.size, width))
-    step = max(1, _FILM_BLOCK // max(1, width))
+    step = max(1, _ROW_BLOCK // max(1, width))
     for lo in range(0, routed.size, step):
         blk = slice(lo, lo + step)
         np.multiply(scale1[inv[blk]], raw[net_row[blk]], out=out[blk])
         out[blk] += shift_u.data[inv[blk]]
 
     # g * (scale + 1), split by net, is formed once and shared by the
-    # adjoints of ctx and of every net; the degree-row reduction is built
-    # once for scale and shift (a tape replays each entry once).
+    # adjoints of x and of every net, and so, with op, is its product with
+    # op.fwd.T; the degree-row reduction is built once for scale and shift
+    # (a tape replays each entry once).
     scaled_parts: list[np.ndarray] = []
+    through_op: list[np.ndarray] = []
     by_degree: list[_sparse.csr_matrix] = []
 
     def net_grads(g):
@@ -453,24 +488,40 @@ def film_debias(
             scaled_parts.extend(scaled[rows] for rows in parts)
         return scaled_parts
 
+    def op_grad(g):
+        # op.fwd.T @ G, where row i of G holds row i's scaled g in its net's columns.
+        if not through_op:
+            spread = np.zeros((n, len(nets) * width))
+            for src, col, gk in zip(sources, cols, net_grads(g)):
+                spread[src, col] = gk
+            through_op.append(op.fwd.T @ spread)
+        return through_op[0]
+
     def degree_sum(g):
         if not by_degree:
             by_degree.append(_scatter_matrix(inv, scale_u.shape[0]))
         return by_degree[0] @ g
 
-    def vjp_ctx(g):
-        gx = np.zeros(ctx.shape)
+    def vjp_x(g):
+        if op is not None:
+            return op_grad(g) @ w_all.T
+        gx = np.zeros(x.shape)
         for src, gk, (w, _) in zip(sources, net_grads(g), nets):
             gx[src] = gk @ w.data.T
         return gx
+
+    def vjp_w(k):
+        if op is not None:
+            return lambda g: x.data.T @ op_grad(g)[:, cols[k]]
+        return lambda g: x.data[sources[k]].T @ net_grads(g)[k]
 
     def vjp_scale(g):
         in_order = raw[net_row]  # g * raw in row order, in one n x d array
         return degree_sum(np.multiply(g, in_order, out=in_order))
 
-    pairs = [(ctx, vjp_ctx)]
-    for k, (src, (w, b)) in enumerate(zip(sources, nets)):
-        pairs.append((w, lambda g, k=k, src=src: ctx.data[src].T @ net_grads(g)[k]))
+    pairs = [(x, vjp_x)]
+    for k, (w, b) in enumerate(nets):
+        pairs.append((w, vjp_w(k)))
         pairs.append((b, lambda g, k=k: net_grads(g)[k].sum(axis=0, keepdims=True)))
     pairs.append((scale_u, vjp_scale))
     pairs.append((shift_u, degree_sum))

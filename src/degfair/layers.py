@@ -144,7 +144,11 @@ class LayerTraceEntry:
     """One layer's output ``h`` plus everything the training constraints need.
 
     :func:`forward_layer` returns one on both forwards. On the debiased
-    forward, ``ctx`` is the context embedding and ``scale_u`` / ``shift_u``
+    forward, ``ctx`` and ``op`` are what the layer's ``film_debias`` read:
+    on a layer in the routed form, ``ctx`` is the context embedding
+    ``ctx_mean @ h_in`` and ``op`` is None; on a projected layer, ``ctx`` is
+    the layer input ``h_in`` and ``op`` the context operator ``ctx_mean``,
+    so the entry holds no context embedding. ``scale_u`` / ``shift_u`` are
     the modulation rows, one per unique degree value (the trace's
     ``degree_inverse`` maps nodes to them); ``debias`` holds the layer's
     (low, high) debiasing nets, indexed by group id. The forward ran each
@@ -155,6 +159,7 @@ class LayerTraceEntry:
 
     h: Tensor
     ctx: Tensor | None = None
+    op: FixedSparse | None = None
     scale_u: Tensor | None = None
     shift_u: Tensor | None = None
     debias: tuple[Linear, Linear] | None = None
@@ -330,26 +335,33 @@ def forward_layer(
     argmax-blind to the per-node magnitude that carries degree information.
 
     With ``eps`` given, the context is ``film_debias`` of the context
-    embedding ``ctx_mean @ h`` (``ctx``, when the caller already holds it):
-    each node's row goes through its own group's debiasing net only,
-    modulated by the scale/shift rows of its degree, which the FiLM nets
-    generate once per unique degree from encodings of width
-    ``film_scale.w.shape[0]``, each as ``affine(enc, *net)``. The trace entry
-    then keeps the context embedding, those rows and both nets for the
-    training constraints. With eps == 0 the context is neither computed nor
-    added, so the output is bit-identical to the base layer's. Either way
-    the layer returns its :class:`LayerTraceEntry`; without ``eps`` only its
-    ``h`` is set. The last layer ends in a softmax, the others in a ReLU.
+    embedding ``ctx_mean @ h``: each node's row goes through its own group's
+    debiasing net only, modulated by the scale/shift rows of its degree,
+    which the FiLM nets generate once per unique degree from encodings of
+    width ``film_scale.w.shape[0]``, each as ``affine(enc, *net)``. Layers
+    i >= 1 with 2 d_out < d_in (the output layer, say) project before the
+    mean: ``film_debias`` gets ``h`` and ``ops.ctx_mean`` and forms the
+    context at width 2 d_out. Layer 0 and layers as wide as their input
+    read the context embedding (``ctx``, when the caller holds it: layer
+    0's depends on no parameter, so ``train()`` keeps it). The trace entry
+    keeps what ``film_debias`` read, those rows and both nets for the
+    training constraints. With eps == 0 the context is not added, so the
+    output is bit-identical to the base layer's. Without ``eps`` only the
+    entry's ``h`` is set. The last layer ends in a softmax, the others in a
+    ReLU.
     """
     kind, layer = params.kind, params.layers[i]
     if ops.kind != kind:
         raise ValueError(f"operators were built for {ops.kind}, not {kind!r}")
     if eps is not None:
-        if ctx is None:
+        debias = (layer.debias_low, layer.debias_high)
+        ctx_op = None
+        if ctx is None and i > 0 and 2 * layer.debias_low.w.shape[1] < h.shape[1]:
+            ctx, ctx_op = h, ops.ctx_mean
+        elif ctx is None:
             ctx = sparse_matmul(ops.ctx_mean, h)
         enc = Tensor(degree_encoding_matrix(ops.unique_degrees, layer.film_scale.w.shape[0]))
         scale_u, shift_u = affine(enc, *layer.film_scale), affine(enc, *layer.film_shift)
-        debias = (layer.debias_low, layer.debias_high)
     omega = layer.omega
     try:
         if kind == "gcn":
@@ -364,14 +376,16 @@ def forward_layer(
     except KeyError as exc:
         raise ValueError(f"missing {kind} weight {exc.args[0]!r}") from None
     if eps is not None and eps != 0.0:
-        terms.append(film_debias(ctx, ops.group, debias, scale_u, shift_u, ops.degree_inverse))
+        terms.append(film_debias(ctx, ops.group, debias, scale_u, shift_u, ops.degree_inverse,
+                                 ctx_op))
         coeffs.append(eps)
     pre = weighted_sum(terms, coeffs)
     del terms  # the aggregation and context outputs go before the activation allocates
     out = softmax_rows(pre) if i == len(params.layers) - 1 else relu(pre)
     if eps is None:
         return LayerTraceEntry(out)
-    return LayerTraceEntry(h=out, ctx=ctx, scale_u=scale_u, shift_u=shift_u, debias=debias)
+    return LayerTraceEntry(h=out, ctx=ctx, op=ctx_op, scale_u=scale_u, shift_u=shift_u,
+                           debias=debias)
 
 
 def _forward_input(g, dropout_rate, rng, dropout_input, features, layer0) -> Tensor:

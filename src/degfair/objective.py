@@ -92,6 +92,8 @@ def debias_constraint(trace: ForwardTrace, low_tr: np.ndarray, high_tr: np.ndarr
     The opposite contexts are built here by ``film_debias`` from each
     layer's trace, routed to the other group's net on the training rows of
     the two groups and to -1 everywhere else, so only those rows are built.
+    A projected layer's entry holds its input and the context operator, so
+    its term is one op whose sparse product is 2 d_out columns wide.
     """
     n = trace.degree_inverse.shape[0]
     opposite = np.full(n, -1, dtype=np.int64)
@@ -99,7 +101,7 @@ def debias_constraint(trace: ForwardTrace, low_tr: np.ndarray, high_tr: np.ndarr
     opposite[_indices(high_tr, n, "high_tr")] = 0
     return sq_norm(*[
         film_debias(entry.ctx, opposite, entry.debias, entry.scale_u, entry.shift_u,
-                    trace.degree_inverse)
+                    trace.degree_inverse, entry.op)
         for entry in trace.layers
     ])
 

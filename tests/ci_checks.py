@@ -8,6 +8,7 @@ Run from the repository root::
     PYTHONPATH=src python tests/ci_checks.py live-mb
     PYTHONPATH=src python tests/ci_checks.py tape-entries
     PYTHONPATH=src python tests/ci_checks.py predict-peak-mb
+    PYTHONPATH=src python tests/ci_checks.py predict-ms
 
 ``known-red`` fails on any failed or errored test in a JUnit report other
 than the known red (criterion 6), and when the report is missing.
@@ -22,8 +23,9 @@ hidden 64), and ``tape-entries`` the tape entries that one degfair GCN
 epoch records (n=300, hidden 8, the shape of the tape-entry test in
 ``tests/test_objective.py``). ``predict-peak-mb`` prints the MB that
 tracemalloc reads at the peak of one ``predict`` (an untrained degfair GCN,
-``r_context`` 2, hidden 32, on ``synth_generate(20000, 2, 0.9, 32, seed=0)``).
-All three read the ``degfair`` on the path and print "not measured" rather
+``r_context`` 2, hidden 32, on ``synth_generate(20000, 2, 0.9, 32, seed=0)``),
+and ``predict-ms`` the median wall ms of 3 ``predict`` calls on that input.
+All four read the ``degfair`` on the path and print "not measured" rather
 than fail. pytest does not collect this file.
 """
 
@@ -134,18 +136,25 @@ def tape_entries():
     return 0
 
 
+def _predict_input():
+    """``(params, g, config)``: an untrained degfair GCN (r=2, hidden 32) on a 20000-node graph."""
+    import numpy as np
+
+    from degfair.graphs import synth_generate
+    from degfair.training import TrainConfig, init_params
+
+    g = synth_generate(20000, 2, 0.9, 32, seed=0)
+    config = TrainConfig(base_gnn="gcn", model="degfair", hidden_dim=32, r_context=2)
+    return init_params(config, g.feature_dim, g.num_classes, np.random.default_rng(0)), g, config
+
+
 def predict_peak_mb():
     import tracemalloc
 
     try:
-        import numpy as np
+        from degfair.training import predict
 
-        from degfair.graphs import synth_generate
-        from degfair.training import TrainConfig, init_params, predict
-
-        g = synth_generate(20000, 2, 0.9, 32, seed=0)
-        config = TrainConfig(base_gnn="gcn", model="degfair", hidden_dim=32, r_context=2)
-        params = init_params(config, g.feature_dim, g.num_classes, np.random.default_rng(0))
+        params, g, config = _predict_input()
         tracemalloc.start()
         predict(params, g, config)
         print(f"{tracemalloc.get_traced_memory()[1] / 1e6:.1f} MB")
@@ -154,8 +163,28 @@ def predict_peak_mb():
     return 0
 
 
+def predict_ms():
+    import statistics
+    import time
+
+    try:
+        from degfair.training import predict
+
+        params, g, config = _predict_input()
+        walls = []
+        for _ in range(3):
+            start = time.perf_counter()
+            predict(params, g, config)
+            walls.append(time.perf_counter() - start)
+        print(f"{statistics.median(walls) * 1e3:.1f} ms")
+    except Exception as exc:
+        print(f"not measured ({type(exc).__name__}: {exc})")
+    return 0
+
+
 COMMANDS = {"known-red": known_red, "bench-line": bench_line, "grid-summary": grid_summary,
-            "live-mb": live_mb, "tape-entries": tape_entries, "predict-peak-mb": predict_peak_mb}
+            "live-mb": live_mb, "tape-entries": tape_entries, "predict-peak-mb": predict_peak_mb,
+            "predict-ms": predict_ms}
 
 if __name__ == "__main__":
     sys.exit(COMMANDS[sys.argv[1]](*sys.argv[2:]))

@@ -67,10 +67,10 @@ def test_shape_errors():
         ad.weighted_sum([Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2)))], [1.0, 1.0])
 
 
-def _film_debias_2_rows(route, degree_inverse):
+def _film_debias_2_rows(route, degree_inverse, op=None):
     nets = [(Tensor(np.ones((3, 2))), Tensor(np.ones((1, 2))))]
     ad.film_debias(Tensor(np.ones((2, 3))), route, nets, Tensor(np.zeros((2, 2))),
-                   Tensor(np.zeros((2, 2))), degree_inverse)
+                   Tensor(np.zeros((2, 2))), degree_inverse, op)
 
 
 def _film_debias_with_bad_net():
@@ -139,6 +139,9 @@ REJECTIONS = [
     pytest.param(lambda: ad.weighted_sum([ONES_2X3, Tensor(np.ones((1, 2)))], [1.0, 1.0]),
                  ValueError, "terms differ in shape", id="weighted_sum-bias-width"),
     pytest.param(_film_debias_with_bad_net, ValueError, "film_debias shape", id="film_debias-net"),
+    pytest.param(lambda: _film_debias_2_rows([0, 0], [0, 1], op=ad.FixedSparse(np.ones((2, 3)))),
+                 ValueError, r"film_debias operator shape mismatch: \(2, 3\) @ \(2, 3\)",
+                 id="film_debias-operator"),
     pytest.param(lambda: _film_debias_2_rows([0.5, 0], [0, 1]), ValueError,
                  "route values must be integers", id="film_debias-float-route"),
     pytest.param(lambda: _film_debias_2_rows([0, 2], [0, 1]), ValueError,
@@ -234,6 +237,34 @@ def film_debias_oracle(x, route, nets, scale_u, shift_u, inv):
     return np.array(rows).reshape(-1, scale_u.shape[1])
 
 
+def film_debias_grad_oracle(x, route, nets, scale_u, shift_u, inv, cot, mat=None):
+    """Row by row over the routed rows: each row's adjoints onto x, its net and its degree row.
+
+    The context is ``mat @ x`` (``x`` itself without ``mat``), so row i's
+    adjoint reaches x through row i of ``mat``. Returns the adjoints of x,
+    of every net's w and b, of scale_u and of shift_u, in that order.
+    """
+    mat = np.eye(len(x)) if mat is None else mat
+    ctx = mat @ x
+    gx, gscale, gshift = np.zeros(x.shape), np.zeros(scale_u.shape), np.zeros(shift_u.shape)
+    gnets = [[np.zeros(w.shape), np.zeros(b.shape)] for w, b in nets]
+    for g, i in zip(cot, np.flatnonzero(route >= 0)):
+        (w, b), d = nets[route[i]], inv[i]
+        scaled = (scale_u[d] + 1.0) * g
+        gx += np.outer(mat[i], scaled @ w.T)
+        gnets[route[i]][0] += np.outer(ctx[i], scaled)
+        gnets[route[i]][1][0] += scaled
+        gscale[d] += g * (ctx[i] @ w + b[0])
+        gshift[d] += g
+    return [gx, *(t for pair in gnets for t in pair), gscale, gshift]
+
+
+def random_operator(rng, rows, cols, density=0.5):
+    """A constant sparse operator with normal values on a random pattern; rows may be empty."""
+    return ad.FixedSparse(sparse.random(rows, cols, density=density, format="csr",
+                                        random_state=rng, data_rvs=rng.standard_normal))
+
+
 def bincount_scatter(idx, g, rows):
     """Reference scatter-add: one flat ``np.bincount``, duplicates in input order."""
     cols = g.shape[1]
@@ -254,45 +285,82 @@ def film_debias_cases(draw):
     route = draw(st.lists(st.integers(lowest, highest), min_size=n, max_size=n))
     inv = draw(st.lists(st.integers(0, unique - 1), min_size=n, max_size=n))
     seed = draw(st.integers(0, 2**32 - 1))
+    # Without an operator (None) the op reads x as the context; with one, x
+    # has m rows and the context is a random sparse n x m operator times x.
+    m = draw(st.none() | st.integers(0, 6))
     return n, d_in, width, num_nets, unique, np.array(route, dtype=np.int64), \
-        np.array(inv, dtype=np.int64), seed
+        np.array(inv, dtype=np.int64), seed, m
+
+
+def film_debias_input(rng, case):
+    """The case's x: n rows without an operator, m rows with one."""
+    n, d_in, m = case[0], case[1], case[-1]
+    rows = n if m is None else m
+    return tensor(rng, rows, d_in) if rows else Tensor(np.zeros((0, d_in)), requires_grad=True)
+
+
+def dense(op):
+    return None if op is None else op.fwd.toarray()
+
+
+# Pinned op-form cases: rows routed to -1 and repeated degrees; net 1
+# without rows; an operator row that reads nothing; and x of one row.
+OP_EXAMPLES = [
+    (6, 3, 2, 2, 3, np.array([0, -1, 1, 1, 0, -1]), np.array([2, 0, 1, 2, 2, 2]), 31, 4),
+    (5, 4, 2, 2, 2, np.array([0, 0, -1, 0, 0]), np.array([1, 0, 1, 1, 0]), 32, 5),
+    (4, 2, 3, 3, 2, np.array([2, -1, 0, 2]), np.array([0, 0, 1, 1]), 33, 1),
+]
 
 
 @settings(max_examples=80, deadline=None)
 @given(film_debias_cases())
-@example(case=(6, 3, 2, 2, 3, np.array([0, 0, 1, 1, 0, 0]), np.array([2, 0, 1, 2, 2, 2]), 717848))
-@example(case=(4, 2, 3, 2, 2, np.array([-1, -1, -1, -1]), np.array([0, 1, 1, 0]), 5))
-@example(case=(5, 2, 3, 2, 2, np.array([1, -1, 0, -1, 1]), np.array([0, 1, 1, 0, 0]), 9))
+@example(case=(6, 3, 2, 2, 3, np.array([0, 0, 1, 1, 0, 0]), np.array([2, 0, 1, 2, 2, 2]), 717848,
+               None))
+@example(case=(4, 2, 3, 2, 2, np.array([-1, -1, -1, -1]), np.array([0, 1, 1, 0]), 5, None))
+@example(case=(5, 2, 3, 2, 2, np.array([1, -1, 0, -1, 1]), np.array([0, 1, 1, 0, 0]), 9, None))
+@example(case=OP_EXAMPLES[0])
+@example(case=OP_EXAMPLES[1])
+@example(case=OP_EXAMPLES[2])
 def test_film_debias_property_matches_dense_oracle_and_fd(case):
-    n, d_in, width, num_nets, unique, route, inv, seed = case
+    n, d_in, width, num_nets, unique, route, inv, seed, m = case
     rng = np.random.default_rng(seed)
-    x = tensor(rng, n, d_in) if n else Tensor(np.zeros((0, d_in)), requires_grad=True)
+    x = film_debias_input(rng, case)
     nets = [(tensor(rng, d_in, width), tensor(rng, 1, width)) for _ in range(num_nets)]
     scale_u, shift_u = tensor(rng, unique, width), tensor(rng, unique, width)
     routed = np.flatnonzero(route >= 0)
     cot = Tensor(rng.standard_normal((routed.size, width)))
+    op = None if m is None else random_operator(rng, n, m)
 
     with Tape() as tape:
-        out = ad.film_debias(x, route, nets, scale_u, shift_u, inv)
+        out = ad.film_debias(x, route, nets, scale_u, shift_u, inv, op)
         loss = contract(out, cot)
-    expected = film_debias_oracle(
-        x.data, route, [(w.data, b.data) for w, b in nets], scale_u.data,
-        shift_u.data, inv,
-    )
+    ctx = x.data if op is None else dense(op) @ x.data
+    net_data = [(w.data, b.data) for w, b in nets]
+    expected = film_debias_oracle(ctx, route, net_data, scale_u.data, shift_u.data, inv)
     assert out.shape == (routed.size, width)
     assert np.allclose(out.data, expected, rtol=1e-12, atol=1e-12)
-    # Leaving a row out is the same as not passing it, bit for bit.
-    alone = ad.film_debias(Tensor(x.data[routed]), route[routed], nets, scale_u, shift_u,
-                           inv[routed])
+    # Leaving a row out is the same as not passing it (or its operator row), bit for bit.
+    if op is None:
+        alone = ad.film_debias(Tensor(x.data[routed]), route[routed], nets, scale_u, shift_u,
+                               inv[routed])
+    else:
+        alone = ad.film_debias(x, route[routed], nets, scale_u, shift_u, inv[routed],
+                               ad.FixedSparse(op.fwd[routed]))
     assert np.array_equal(out.data, alone.data)
     # The shift adjoint is the cotangent summed by degree row, in row order.
     tape.backward(loss)
     assert np.array_equal(shift_u.grad, bincount_scatter(inv[routed], cot.data, unique))
+    # Every adjoint against the row-by-row oracle: x, each w and b, scale, shift.
+    leaves = [x] + [t for net in nets for t in net] + [scale_u, shift_u]
+    want = film_debias_grad_oracle(x.data, route, net_data, scale_u.data, shift_u.data, inv,
+                                   cot.data, dense(op))
+    for leaf, grad in zip(leaves, want):
+        assert np.allclose(leaf.grad, grad, rtol=1e-12, atol=1e-12)
 
     def program():
-        return contract(ad.film_debias(x, route, nets, scale_u, shift_u, inv), cot)
+        return contract(ad.film_debias(x, route, nets, scale_u, shift_u, inv, op), cot)
 
-    params = [scale_u, shift_u] + [t for net in nets for t in net] + ([x] if n else [])
+    params = [scale_u, shift_u] + [t for net in nets for t in net] + ([x] if x.shape[0] else [])
     # Each coordinate enters the program linearly, so central differences are
     # exact at any step; a large one keeps their rounding below the bound on
     # tiny gradients (the pinned case reads 2.0e-6 at the default 1e-5).
@@ -302,17 +370,22 @@ def test_film_debias_property_matches_dense_oracle_and_fd(case):
     unused = np.setdiff1d(np.arange(unique), inv[routed])
     assert np.array_equal(scale_u.grad[unused], np.zeros((unused.size, width)))
     assert np.array_equal(shift_u.grad[unused], np.zeros((unused.size, width)))
-    if n:
+    if n and op is None:
         assert not x.grad[route == -1].any()
 
 
-def film_debias_reference(ctx, route, nets, scale_u, shift_u, inv, g):
+def film_debias_reference(ctx, route, nets, scale_u, shift_u, inv, g, op=None):
     """``film_debias``'s output and adjoints as ops on whole arrays, in its order.
 
     The output is ``(scale_u[inv] + 1) * raw + shift_u[inv]`` with ``raw`` the
     routed net outputs; the adjoints scale ``g`` by ``scale_u[inv] + 1`` and
-    reduce onto the degree rows with the scatter matrix.
+    reduce onto the degree rows with the scatter matrix. With ``op``, ``ctx``
+    is the op's input x: ``raw`` reads each net's columns of
+    ``op.fwd @ (x @ [w_0 | w_1 | ...])``, and the adjoints of x and of every
+    w read ``op.fwd.T`` times the scaled ``g`` placed in its net's columns.
     """
+    if op is not None:
+        return _projected_film_reference(ctx, route, nets, scale_u, shift_u, inv, g, op)
     routed = np.flatnonzero(route >= 0)
     route, inv = route[routed], inv[routed]
     parts = [np.flatnonzero(route == k) for k in range(len(nets))]
@@ -336,6 +409,33 @@ def film_debias_reference(ctx, route, nets, scale_u, shift_u, inv, g):
     return out, [g_ctx, *g_nets, by_degree @ (g * raw), by_degree @ g]
 
 
+def _projected_film_reference(x, route, nets, scale_u, shift_u, inv, g, op):
+    routed = np.flatnonzero(route >= 0)
+    route, inv = route[routed], inv[routed]
+    width = scale_u.shape[1]
+    cols = [slice(k * width, (k + 1) * width) for k in range(len(nets))]
+    w_all = np.hstack([w for w, _ in nets])
+    projected = op.fwd @ (x @ w_all)
+    raw = np.empty((routed.size, width))
+    for k, (_, b) in enumerate(nets):
+        rows = route == k
+        raw[rows] = projected[routed[rows], cols[k]] + b
+    scale1 = scale_u[inv]
+    scale1 += 1.0
+    out = scale1 * raw
+    out += shift_u[inv]
+    spread = np.zeros((op.fwd.shape[0], len(nets) * width))
+    for k in range(len(nets)):
+        rows = route == k
+        spread[routed[rows], cols[k]] = (g * scale1)[rows]
+    through = op.fwd.T @ spread
+    by_degree = ad._scatter_matrix(inv, scale_u.shape[0])
+    g_nets = []
+    for k in range(len(nets)):
+        g_nets += [x.T @ through[:, cols[k]], (g * scale1)[route == k].sum(axis=0, keepdims=True)]
+    return out, [through @ w_all.T, *g_nets, by_degree @ (g * raw), by_degree @ g]
+
+
 def same_bits(a, b):
     """Equal values, NaN where NaN, and the same sign bit everywhere (so -0.0 != 0.0)."""
     return (a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
@@ -345,41 +445,47 @@ def same_bits(a, b):
 SPECIAL = (0.0, -0.0, np.inf, -np.inf, np.nan, -1.0, 1.5, -2.25)
 
 
-def several_blocks_case(empty_net):
+def several_blocks_case(empty_net, m=None):
     """2000 rows at width 64, 1340 of them routed: 3 modulation blocks of 512 rows.
 
     A third of the rows go to -1, 7 degree rows repeat across blocks and
-    nets, and ``empty_net``, when given, gets no rows.
+    nets, and ``empty_net``, when given, gets no rows. ``m`` is the case's
+    operator width, as in ``film_debias_cases``.
     """
     rng = np.random.default_rng(17)
     route = rng.integers(-1, 2, 2000)
     if empty_net is not None:
         route[route == empty_net] = 1 - empty_net
-    return 2000, 8, 64, 2, 7, route, rng.integers(0, 7, 2000), 17
+    return 2000, 8, 64, 2, 7, route, rng.integers(0, 7, 2000), 17, m
 
 
 @settings(max_examples=80, deadline=None)
 @given(film_debias_cases())
-@example(case=(5, 2, 3, 2, 2, np.array([1, -1, 0, -1, 1]), np.array([0, 1, 1, 0, 0]), 9))
+@example(case=(5, 2, 3, 2, 2, np.array([1, -1, 0, -1, 1]), np.array([0, 1, 1, 0, 0]), 9, None))
 @example(case=several_blocks_case(None))
 @example(case=several_blocks_case(1))
+@example(case=several_blocks_case(None, m=1500))
+@example(case=several_blocks_case(0, m=1500))
+@example(case=OP_EXAMPLES[0])
+@example(case=OP_EXAMPLES[1])
 def test_film_debias_property_is_bit_identical_to_its_array_formula(case):
     # Scale rows of -1 give a zero FiLM factor; special values in the scale
     # and shift rows reach the output's signs, infinities and NaNs.
-    n, d_in, width, num_nets, unique, route, inv, seed = case
+    n, d_in, width, num_nets, unique, route, inv, seed, m = case
     rng = np.random.default_rng(seed)
-    x = tensor(rng, n, d_in) if n else Tensor(np.zeros((0, d_in)), requires_grad=True)
+    x = film_debias_input(rng, case)
     nets = [(tensor(rng, d_in, width), tensor(rng, 1, width)) for _ in range(num_nets)]
     scale_u, shift_u = (Tensor(rng.choice(SPECIAL, (unique, width)), requires_grad=True)
                         for _ in range(2))
     cot = rng.standard_normal((int((route >= 0).sum()), width))
+    op = None if m is None else random_operator(rng, n, m, density=min(0.5, 8 / max(1, m)))
     with np.errstate(invalid="ignore"):
         with Tape() as tape:
-            out = ad.film_debias(x, route, nets, scale_u, shift_u, inv)
+            out = ad.film_debias(x, route, nets, scale_u, shift_u, inv, op)
             loss = contract(out, cot)
         tape.backward(loss)
         want, grads = film_debias_reference(x.data, route, [(w.data, b.data) for w, b in nets],
-                                            scale_u.data, shift_u.data, inv, cot)
+                                            scale_u.data, shift_u.data, inv, cot, op)
     assert same_bits(out.data, want)
     leaves = [x] + [t for net in nets for t in net] + [scale_u, shift_u]
     assert all(same_bits(t.grad, grad) for t, grad in zip(leaves, grads))
@@ -661,6 +767,26 @@ def test_weighted_sum_property_adjoint_matches_the_dot_product_identity(case):
     assert not any(np.shares_memory(x, y) for i, x in enumerate(held) for y in held[i + 1:])
 
 
+@pytest.mark.parametrize("coeffs", [[1.0, 0.7, 1.0, -0.3], [0.5, 0.5, 1.0, 0.7],
+                                    [-1.3, 1.0, 2.0, 1.0], [1.0, 1.0, 0.25, 1e-3]])
+def test_weighted_sum_over_row_blocks_is_bit_identical_to_its_array_formula(coeffs):
+    # Three full blocks of rows and a partial one; term 2 is a bias row.
+    # Each term is scaled in full and the scaled terms summed in order, as
+    # whole arrays; special values carry signed zeros, infinities and NaNs.
+    rng = np.random.default_rng(21)
+    rows, cols = 3 * (ad._ROW_BLOCK // 8) + 17, 8
+    shapes = [(rows, cols), (rows, cols), (1, cols), (rows, cols)]
+    terms = [Tensor(rng.choice(SPECIAL, shape)) for shape in shapes]
+    with np.errstate(invalid="ignore"):
+        out = ad.weighted_sum(terms, coeffs)
+        scaled = [t.data if c == 1.0 else t.data * c for t, c in zip(terms, coeffs)]
+        want = scaled[0] + scaled[1]
+        for part in scaled[2:]:
+            want = want + part
+    assert same_bits(out.data, want)
+    assert not any(np.shares_memory(out.data, t.data) for t in terms)
+
+
 # ----------------------------------------------------------------- backward
 
 
@@ -917,6 +1043,11 @@ def op_programs(rng):
     routed_nets = [(tensor(rng, d, k), tensor(rng, 1, k)) for _ in range(3)]
     scale_u, shift_u = tensor(rng, 4, k), tensor(rng, 4, k)
     routed_cot = Tensor(rng.standard_normal((np.count_nonzero(route >= 0), k)))
+    # The projected form: the same routes on a context operator of n + 3
+    # rows over x of n rows, one operator row empty.
+    ctx_op = random_operator(rng, n + 3, n)
+    ctx_op.fwd.data[ctx_op.fwd.indptr[1] : ctx_op.fwd.indptr[2]] = 0.0
+    ctx_op.fwd.eliminate_zeros()
 
     return {
         "matmul": (lambda: contract(ad.matmul(a, b), cot_k), [a, b]),
@@ -950,6 +1081,13 @@ def op_programs(rng):
                 routed_cot,
             ),
             [routed_x, scale_u, shift_u] + [t for net in routed_nets for t in net],
+        ),
+        "film_debias_op": (
+            lambda: contract(
+                ad.film_debias(a, route, routed_nets, scale_u, shift_u, inv, ctx_op),
+                routed_cot,
+            ),
+            [a, scale_u, shift_u] + [t for net in routed_nets for t in net],
         ),
         "dropout": (
             lambda: contract(

@@ -34,19 +34,40 @@ def graphs(draw):
             np.flatnonzero(train), draw(st.integers(0, 2**16)))
 
 
-@pytest.mark.parametrize("r", [1, 2], ids=["r1", "r2"])
+KINDS = pytest.mark.parametrize("kind,heads", [("gcn", 1), ("sage", 1), ("gat", 1), ("gat", 3)],
+                                ids=["gcn", "sage", "gat1", "gat3"])
+RS = pytest.mark.parametrize("r", [1, 2], ids=["r1", "r2"])
+
+
+@RS
 @pytest.mark.parametrize("num_layers", [1, 2, 3], ids=["layers1", "layers2", "layers3"])
-@pytest.mark.parametrize("kind,heads", [("gcn", 1), ("sage", 1), ("gat", 1), ("gat", 3)],
-                         ids=["gcn", "sage", "gat1", "gat3"])
+@KINDS
 @settings(max_examples=10, deadline=None)
 @given(graph=graphs())
 def test_forwards_and_terms_match_the_dense_model(kind, heads, num_layers, r, graph):
+    # At hidden width 3 every layer takes the routed form (2 x 2 classes > 3).
+    check_against_dense_model(kind, heads, num_layers, r, graph, hidden=3)
+
+
+@RS
+@pytest.mark.parametrize("num_layers", [2, 3], ids=["layers2", "layers3"])
+@KINDS
+@settings(max_examples=10, deadline=None)
+@given(graph=graphs())
+def test_projected_output_layer_matches_the_dense_model(kind, heads, num_layers, r, graph):
+    # At hidden width 5 the output layer (5 -> 2) projects before the context
+    # mean; layer 0 (3 -> 5) and a middle layer (5 -> 5) stay routed.
+    check_against_dense_model(kind, heads, num_layers, r, graph, hidden=5)
+
+
+def check_against_dense_model(kind, heads, num_layers, r, graph, hidden):
     edges, n, threshold, train, seed = graph
     rng = np.random.default_rng(seed)
     feats, labels = rng.standard_normal((n, 3)), rng.integers(0, 2, n)
     g = build_graph(edges, feats, labels, num_classes=2)
     ops = build_operators(g, r, partition_contrast(g.degrees.astype(float), threshold), kind)
-    config = TrainConfig(base_gnn=kind, gat_heads=heads, num_layers=num_layers, hidden_dim=3)
+    config = TrainConfig(base_gnn=kind, gat_heads=heads, num_layers=num_layers,
+                         hidden_dim=hidden)
     params = init_params(config, 3, 2, rng)
     for _, t in params.named_tensors():
         t.data[...] = rng.standard_normal(t.shape)

@@ -476,6 +476,26 @@ def test_untaped_fair_layer_peak_stays_below_four_and_a_half_activations():
     assert peak < 4.5 * n * d * 8
 
 
+def test_untaped_fair_layer_peak_at_eps_0_7_stays_within_a_tenth_activation_of_eps_1():
+    # A context weight other than 1 scales the context a block of rows at a
+    # time as the pre-activation adds it in, so it forms no n x d scaled copy.
+    n, d = 20000, 32
+    g, config, ops, params = synth_setup("gcn", n=n, hidden=d, feat_dim=d)
+    h = Tensor(g.features)
+
+    def peak(eps):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            forward_layer(h, ops, params, 0, eps)
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    at_one = peak(1.0)
+    assert peak(0.7) - at_one < 0.1 * n * d * 8
+
+
 @pytest.mark.parametrize("kind", ["gcn", "sage", "gat"])
 def test_model_rows_sum_to_one(kind):
     g, config, ops, params = synth_setup(kind)

@@ -377,8 +377,53 @@ def test_debias_contexts_finite_every_epoch():
         for group in (0, 1):  # each group's context, for every node
             route = np.full(g.num_nodes, group)
             ctx = film_debias(entry.ctx, route, entry.debias, entry.scale_u,
-                              entry.shift_u, trace.degree_inverse)
+                              entry.shift_u, trace.degree_inverse, entry.op)
             assert np.all(np.isfinite(ctx.data))
+
+
+class WidthRecorder:
+    """A sparse matrix that records the column count of each product with it or its transpose."""
+
+    def __init__(self, mat, widths, side="fwd"):
+        self.mat, self.widths, self.side = mat, widths, side
+
+    @property
+    def shape(self):
+        return self.mat.shape
+
+    @property
+    def T(self):
+        return WidthRecorder(self.mat.T, self.widths, "T")
+
+    def __matmul__(self, x):
+        self.widths.append((self.side, x.shape[1]))
+        return self.mat @ x
+
+
+def test_context_products_are_2_d_out_wide_past_layer_0(monkeypatch):
+    # Layer 1 (16 -> 2) projects before the context mean, so every product
+    # with ctx_mean there, forward or transposed, is 2 x 2 columns wide;
+    # layer 0's context depends on no parameter and is formed once per call.
+    widths = []
+    build = training.build_operators
+
+    def recorded(*args):
+        ops = build(*args)
+        ops.ctx_mean.fwd = WidthRecorder(ops.ctx_mean.fwd, widths)
+        return ops
+
+    monkeypatch.setattr(training, "build_operators", recorded)
+    g = synth_generate(300, 2, 0.9, 8, seed=0)
+    split = split_nodes(g.num_nodes, (0.6, 0.2, 0.2), seed=0)
+    config = TrainConfig(base_gnn="gcn", hidden_dim=16, mu=1e-3, lam=1e-4, epochs=2,
+                         patience=2)
+    params, _ = train(g, split, config)
+    d_in, joint = g.feature_dim, 2 * g.num_classes
+    assert widths.count(("fwd", d_in)) == 1
+    assert set(widths) == {("fwd", d_in), ("fwd", joint), ("T", joint)}, widths
+    widths.clear()
+    predict(params, g, config)
+    assert widths == [("fwd", d_in), ("fwd", joint)]
 
 
 # ------------------------------------------------------------------ predict
