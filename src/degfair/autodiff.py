@@ -306,19 +306,6 @@ def weighted_sum(terms, coeffs) -> Tensor:
     return _record(Tensor(total), [(t, vjp(t, c)) for t, c in zip(terms, coeffs)])
 
 
-def _scatter_matrix(idx: np.ndarray, rows: int) -> _sparse.csr_matrix:
-    """The 0/1 matrix ``S`` (rows x len(idx)) with ``S @ g`` adding row k of g into row idx[k].
-
-    Row r of ``S`` lists the k with idx[k] == r in increasing order (a stable
-    argsort), so the CSR product sums duplicates in input order, as a
-    ``np.bincount`` over the rows would, and builds no per-entry index.
-    """
-    order = np.argsort(idx, kind="stable")
-    indptr = np.zeros(rows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(idx, minlength=rows), out=indptr[1:])
-    return _sparse.csr_matrix((np.ones(idx.size), order, indptr), shape=(rows, idx.size))
-
-
 def _indices(idx, bound: int, what: str, low: int = 0) -> np.ndarray:
     """``idx`` as a flat int64 array, every entry an integer in [low, bound)."""
     idx = np.asarray(idx).reshape(-1)
@@ -350,9 +337,8 @@ def nll_rows(probs: Tensor, idx, labels, floor: float) -> Tensor:
     clamped = np.where(kept, picked, floor)
 
     def vjp(g):
-        grad = np.zeros((idx.size, classes))
-        grad[np.arange(idx.size), labels] = np.where(kept, (-g[0, 0]) / clamped, 0.0)
-        return _scatter_matrix(idx, n) @ grad
+        picks = np.where(kept, (-g[0, 0]) / clamped, 0.0)
+        return np.bincount(idx * classes + labels, picks, n * classes).reshape(n, classes)
 
     return _record(Tensor(-np.log(clamped).sum()), [(probs, vjp)])
 
@@ -369,14 +355,14 @@ def group_mean_gap(h: Tensor, low, high) -> Tensor:
     if low.size == 0 or high.size == 0:
         raise ValueError("group_mean_gap needs two nonempty groups")
     gap = h.data[low].mean(axis=0, keepdims=True) + -1.0 * h.data[high].mean(axis=0, keepdims=True)
-    n = h.shape[0]
 
-    def spread(rows, sign):
-        return lambda g: _scatter_matrix(rows, n) @ np.repeat(
-            (sign * (2.0 * g[0, 0] * gap)) / rows.size, rows.size, axis=0)
+    def spread(g, rows, sign):
+        grad = np.zeros(h.shape)
+        np.add.at(grad, rows, (sign * (2.0 * g[0, 0] * gap)) / rows.size)
+        return grad
 
     return _record(Tensor(np.einsum("ij,ij->", gap, gap)),
-                   [(h, spread(high, -1.0)), (h, spread(low, 1.0))])
+                   [(h, lambda g: spread(g, high, -1.0)), (h, lambda g: spread(g, low, 1.0))])
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -482,10 +468,7 @@ def film_debias(
 
     def net_grads(g):
         if not scaled_parts:
-            scaled = scale_u.data[inv]
-            scaled += 1.0
-            scaled *= g
-            scaled_parts.extend(scaled[rows] for rows in parts)
+            scaled_parts.extend((scale_u.data[inv[rows]] + 1.0) * g[rows] for rows in parts)
         return scaled_parts
 
     def op_grad(g):
@@ -498,8 +481,10 @@ def film_debias(
         return through_op[0]
 
     def degree_sum(g):
+        # The 0/1 matrix whose row u picks the rows of degree u, in row order.
         if not by_degree:
-            by_degree.append(_scatter_matrix(inv, scale_u.shape[0]))
+            by_degree.append(_sparse.csr_matrix((np.ones(inv.size), (inv, np.arange(inv.size))),
+                                                shape=(scale_u.shape[0], inv.size)))
         return by_degree[0] @ g
 
     def vjp_x(g):
@@ -519,12 +504,12 @@ def film_debias(
         in_order = raw[net_row]  # g * raw in row order, in one n x d array
         return degree_sum(np.multiply(g, in_order, out=in_order))
 
-    pairs = [(x, vjp_x)]
+    # Scale and shift come first: vjp_scale's n x d product is reduced to
+    # the degree rows and freed before the scaled parts exist.
+    pairs = [(scale_u, vjp_scale), (shift_u, degree_sum), (x, vjp_x)]
     for k, (w, b) in enumerate(nets):
         pairs.append((w, vjp_w(k)))
         pairs.append((b, lambda g, k=k: net_grads(g)[k].sum(axis=0, keepdims=True)))
-    pairs.append((scale_u, vjp_scale))
-    pairs.append((shift_u, degree_sum))
     return _record(Tensor(out), pairs)
 
 

@@ -333,16 +333,21 @@ def local_contexts(g: Graph, r: int) -> sparse.csr_matrix:
 
     The members of node v's context are the column indices of row v,
     ``indices[indptr[v]:indptr[v+1]]``, sorted, and always include v. The
-    pattern is built by r-1 boolean sparse products of A+I, with A the
+    pattern is built by up to r-1 boolean sparse products of A+I, with A the
     :func:`adjacency`, so time and memory scale with the nonzeros each
-    product builds, about sum_v |N_r(v)| for the last one.
+    product builds, about sum_v |N_r(v)| for the last one. A product only
+    adds nonzeros, so one that adds none has reached the pattern of every
+    higher power, and the products stop there.
     """
     if r < 1:
         raise ValueError(f"radius must be >= 1, got {r}")
     step = adjacency(g) + sparse.identity(g.num_nodes, dtype=bool, format="csr")
     reach = step
     for _ in range(r - 1):
+        before = reach.nnz
         reach = reach @ step  # boolean products OR-accumulate: no explicit zeros
+        if reach.nnz == before:
+            break
     if r > 1:
         # A product leaves each row's columns unsorted. (A+I)^r is symmetric,
         # so its transpose has the same pattern, and converting that CSC view

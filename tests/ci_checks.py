@@ -6,6 +6,7 @@ Run from the repository root::
     python tests/ci_checks.py bench-line "$(python perfbench/run.py ... | tail -n 1)" TRACE
     python tests/ci_checks.py grid-summary BASE.json HEAD.json BASE_SHA BASE_SRC HEAD_SRC
     PYTHONPATH=src python tests/ci_checks.py live-mb
+    PYTHONPATH=src python tests/ci_checks.py backward-peak-mb
     PYTHONPATH=src python tests/ci_checks.py tape-entries
     PYTHONPATH=src python tests/ci_checks.py predict-peak-mb
     PYTHONPATH=src python tests/ci_checks.py predict-ms
@@ -19,13 +20,14 @@ end-to-end metric of ``BENCHMARK.json`` finite and above zero.
 differ between two outputs of ``tests/bit_grid.py`` and the line counts
 of the two ``src`` trees. ``live-mb`` prints the MB that tracemalloc reads
 live at the first ``Tape.backward`` of one degfair GCN epoch (n=8000,
-hidden 64), and ``tape-entries`` the tape entries that one degfair GCN
+hidden 64), ``backward-peak-mb`` the MB that it reads at the peak of that
+backward, and ``tape-entries`` the tape entries that one degfair GCN
 epoch records (n=300, hidden 8, the shape of the tape-entry test in
 ``tests/test_objective.py``). ``predict-peak-mb`` prints the MB that
 tracemalloc reads at the peak of one ``predict`` (an untrained degfair GCN,
 ``r_context`` 2, hidden 32, on ``synth_generate(20000, 2, 0.9, 32, seed=0)``),
 and ``predict-ms`` the median wall ms of 3 ``predict`` calls on that input.
-All four read the ``degfair`` on the path and print "not measured" rather
+All five read the ``degfair`` on the path and print "not measured" rather
 than fail. pytest does not collect this file.
 """
 
@@ -93,9 +95,10 @@ def grid_summary(base_json, head_json, sha, base_src, head_src):
 
 
 def _first_backward(n, feat_dim, config_args, read, start=lambda: None):
-    """``read(tape)`` at the first ``Tape.backward`` of one GCN epoch on a synth graph.
+    """``read(tape)`` just before and just after the first ``Tape.backward`` of a GCN epoch.
 
-    ``start()`` runs after the graph is built, just before training.
+    The epoch trains on a synth graph; ``start()`` runs after the graph is
+    built, just before training.
     """
     from degfair.autodiff import Tape
     from degfair.graphs import split_nodes, synth_generate
@@ -107,22 +110,43 @@ def _first_backward(n, feat_dim, config_args, read, start=lambda: None):
 
     def marked(tape, loss):
         seen.append(read(tape))
-        return backward(tape, loss)
+        backward(tape, loss)
+        seen.append(read(tape))
 
     Tape.backward = marked
     start()
     train(g, split, TrainConfig(base_gnn="gcn", epochs=1, **config_args))
-    return seen[0]
+    return seen[0], seen[1]
+
+
+# One degfair GCN epoch at n=8000, hidden 64: the live-mb and backward-peak-mb input.
+_LIVE_SHAPE = (8000, 64, dict(model="degfair", hidden_dim=64, eps=1.0, mu=1e-3, lam=1e-4,
+                              dropout=0.5, patience=1))
 
 
 def live_mb():
     import tracemalloc
 
     try:
-        live = _first_backward(8000, 64, dict(model="degfair", hidden_dim=64, eps=1.0, mu=1e-3,
-                                              lam=1e-4, dropout=0.5, patience=1),
-                               lambda tape: tracemalloc.get_traced_memory()[0], tracemalloc.start)
+        live, _ = _first_backward(*_LIVE_SHAPE, lambda tape: tracemalloc.get_traced_memory()[0],
+                                  tracemalloc.start)
         print(f"{live / 1e6:.1f} MB")
+    except Exception as exc:
+        print(f"not measured ({type(exc).__name__}: {exc})")
+    return 0
+
+
+def backward_peak_mb():
+    import tracemalloc
+
+    def peak_since_last_read(tape):
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        return peak
+
+    try:
+        _, peak = _first_backward(*_LIVE_SHAPE, peak_since_last_read, tracemalloc.start)
+        print(f"{peak / 1e6:.1f} MB")
     except Exception as exc:
         print(f"not measured ({type(exc).__name__}: {exc})")
     return 0
@@ -130,7 +154,7 @@ def live_mb():
 
 def tape_entries():
     try:
-        print(_first_backward(300, 8, dict(hidden_dim=8, mu=1e-3, lam=1e-4), len))
+        print(_first_backward(300, 8, dict(hidden_dim=8, mu=1e-3, lam=1e-4), len)[0])
     except Exception as exc:
         print(f"not measured ({type(exc).__name__}: {exc})")
     return 0
@@ -183,8 +207,8 @@ def predict_ms():
 
 
 COMMANDS = {"known-red": known_red, "bench-line": bench_line, "grid-summary": grid_summary,
-            "live-mb": live_mb, "tape-entries": tape_entries, "predict-peak-mb": predict_peak_mb,
-            "predict-ms": predict_ms}
+            "live-mb": live_mb, "backward-peak-mb": backward_peak_mb, "tape-entries": tape_entries,
+            "predict-peak-mb": predict_peak_mb, "predict-ms": predict_ms}
 
 if __name__ == "__main__":
     sys.exit(COMMANDS[sys.argv[1]](*sys.argv[2:]))

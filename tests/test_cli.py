@@ -602,6 +602,21 @@ def test_train_divergence_exits_4(tmp_path, capsys):
     assert list((tmp_path / "out").glob("model_seed*.txt")) == []
 
 
+def test_train_with_an_overflowing_weighted_sum_exits_4(tmp_path, capsys):
+    # Every term stays finite at lambda=1e307; their weighted sum does not.
+    data = write_dataset(tmp_path, n=60)
+    cfg = write_config(tmp_path, data, lam=1e307)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = main(["train", "--config", str(cfg), "--runs", "1"])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.startswith("training diverged: ")
+    assert "every term is finite, their weighted sum is not" in err
+    assert "Traceback" not in err
+
+
 def test_train_reruns_in_fresh_processes_are_byte_identical(tmp_path):
     # The reproducibility contract holds at a fixed BLAS thread count; two
     # threads make the BLAS calls split their work.
@@ -626,6 +641,28 @@ def test_train_reruns_in_fresh_processes_are_byte_identical(tmp_path):
     assert sorted(p.name for p in outs[1].iterdir()) == names
     for name in names:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+def test_eval_with_a_huge_context_radius_finishes(tmp_path):
+    # local_contexts stops once the pattern stops growing; without that, a
+    # model file whose r_context is 10**9 would run 10**9 products. The child
+    # process's timeout fails the test instead of hanging it.
+    data = write_dataset(tmp_path, n=60)
+    cfg = write_config(tmp_path, data, epochs=2, patience=2)
+    assert main(["train", "--config", str(cfg), "--runs", "1"]) == 0
+    model = tmp_path / "out" / "model_seed7.txt"
+    lines = model.read_text().splitlines()
+    config = json.loads(lines[1].removeprefix("config "))
+    lines[1] = "config " + json.dumps({**config, "r_context": 10**9})
+    model.write_text("\n".join(lines) + "\n")
+    done = subprocess.run(
+        [sys.executable, "-m", "degfair.cli", "eval", "--model", str(model),
+         "--edges", str(data / "edges.tsv"), "--features", str(data / "features.csv"),
+         "--labels", str(data / "labels.txt"), "--r", "1"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "delta_dsp" in done.stdout
 
 
 @pytest.mark.filterwarnings("error")

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -273,6 +275,34 @@ def test_local_contexts_property_matches_bfs_oracle(graph, r):
         assert np.all(np.diff(row) > 0)
         assert v in row
         assert row.tolist() == local_context(g, v, r).tolist()
+
+
+# Without the stop at the fixed point, r = 10**9 runs 10**9 - 1 products. The
+# child process's timeout fails the test instead of hanging it.
+FIXED_POINT_CHILD = """
+import numpy as np
+from degfair.graphs import build_graph, local_contexts, synth_generate
+
+def graph(edges, n):
+    return build_graph(np.array(edges, dtype=np.int64).reshape(-1, 2), np.zeros((n, 1)),
+                       np.zeros(n, dtype=np.int64))
+
+# A synth graph; a path, whose pattern grows for n - 1 products; and a
+# disconnected graph (a triangle, a path of 4, an isolated node).
+for g in (synth_generate(60, 2, 0.9, 2, seed=0), graph([(k, k + 1) for k in range(11)], 12),
+          graph([(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6)], 8)):
+    far, full = local_contexts(g, 10**9), local_contexts(g, g.num_nodes)
+    assert far.shape == full.shape and far.dtype == full.dtype
+    for a, b in ((far.indptr, full.indptr), (far.indices, full.indices), (far.data, full.data)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+print("ok")
+"""
+
+
+def test_local_contexts_stop_at_their_fixed_point():
+    done = subprocess.run([sys.executable, "-c", FIXED_POINT_CHILD], capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0 and done.stdout == "ok\n", done.stderr
 
 
 # ---------------------------------------------------------------- ingestion

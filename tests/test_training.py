@@ -623,6 +623,21 @@ def test_base_divergence_names_an_omega_tensor():
         train(g, split, cfg)
 
 
+def test_divergence_names_an_overflowing_weighted_sum():
+    # At lam=1e307 every term is finite, but lam * (l3 + l4 + omega_reg)
+    # overflows at epoch 0.
+    g, split = small_setup(seed=0, n=60)
+    cfg = quick_config(lam=1e307)
+    from degfair.training import TrainingDivergedError
+
+    with pytest.raises(
+        TrainingDivergedError,
+        match=r"^non-finite loss \S+ at epoch 0: every term is finite, their weighted sum is not$",
+    ), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        train(g, split, cfg)
+
+
 def test_every_node_high_still_trains_the_cross_context_term():
     # threshold -1 puts every node in the high group: the parity term is 0
     # and says so, while the cross-context term stays on and is trained.
